@@ -5,8 +5,9 @@ relation (occupancy/exclusion models, multi-level exclusion, two-species
 repulsion, proper colorings, and arbitrary constraint graphs):
 
 - building interaction graphs and constraint graphs,
-- sampling via single-site heat-bath dynamics, with exact enumeration,
-  detailed-balance, and total-variation oracles at small scale,
+- sampling via heat-bath dynamics that resample whole color classes of the
+  interaction graph at once, with exact enumeration, detailed-balance, and
+  total-variation oracles at small scale,
 - estimating the activity parameters from a single sample by maximum
   pseudo-likelihood (closed form for the two-color model, gradient ascent in
   general), with curvature and degeneracy diagnostics,
@@ -99,4 +100,4 @@ from .experiments import (
     rows_to_csv,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

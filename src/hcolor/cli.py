@@ -54,10 +54,10 @@ from .model import (
     write_configuration,
 )
 from .pseudolikelihood import (
-    EstimateReport,
     min_eigenvalue_neg_hessian,
     mpl_fit,
     mpl_hardcore,
+    report_to_json,
 )
 from .sampler import DEFAULT_STATE_CAP, enumerate_exact, sample
 
@@ -135,22 +135,6 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _report_payload(report: EstimateReport) -> dict:
-    def enc(x: float):
-        if np.isfinite(x):
-            return float(x)
-        return "+inf" if x > 0 else "-inf"
-
-    return {
-        "beta_hat": [enc(v) for v in report.beta_hat],
-        "degenerate": list(report.degenerate),
-        "iterations": report.iterations,
-        "grad_norm": report.final_gradient_norm,
-        "lambda_min": report.min_eigenvalue_neg_hessian_at_fit,
-        "rainbow_fractions": [float(v) for v in report.rainbow_fractions],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -209,7 +193,7 @@ def _cmd_estimate(args) -> int:
         "tol": args.tol,
         "out": args.out,
     }
-    payload = _report_payload(report)
+    payload = json.loads(report_to_json(report))
     payload["meta"] = _meta("estimate", config, seed=None)
     _write_json(args.out, payload)
     return 0

@@ -9,8 +9,10 @@ small clique joined completely to a large independent part.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -117,6 +119,29 @@ class Graph:
             pad[u, : len(nbrs)] = nbrs
         return pad
 
+    @cached_property
+    def color_classes(self) -> tuple[np.ndarray, ...]:
+        """Classes of a greedy proper coloring, each an ascending vertex array.
+
+        Vertices are colored in index order, each with the smallest class
+        index that none of its lower-numbered neighbors holds, so no edge lies
+        inside a class. Computed once per graph in O(n + m) and cached; the
+        arrays are read-only.
+        """
+        label = [0] * self.n
+        for u, nbrs in enumerate(self.adjacency):
+            used = {label[v] for v in nbrs if v < u}
+            c = 0
+            while c in used:
+                c += 1
+            label[u] = c
+        labels = np.array(label, dtype=np.int64)
+        order = np.argsort(labels, kind="stable")
+        classes = tuple(np.split(order, np.cumsum(np.bincount(labels))[:-1]))
+        for cls in classes:
+            cls.setflags(write=False)
+        return classes
+
 
 @dataclass(frozen=True)
 class DegreeStats:
@@ -205,12 +230,24 @@ def _erdos_renyi(n: int, c: float, rng: np.random.Generator) -> Graph:
     if c < 0:
         raise ParameterError("erdos_renyi requires c >= 0")
     p = min(c / n, 1.0)
-    edges = []
-    if n >= 2 and p > 0:
-        iu, iv = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        edges = [(int(u), int(v)) for u, v in zip(iu[mask], iv[mask])]
-    return Graph.from_edges(n, edges)
+    pairs = n * (n - 1) // 2
+    if pairs == 0 or p == 0:
+        return Graph.from_edges(n, [])
+    # Geometric edge skipping (Batagelj & Brandes 2005): the gaps between
+    # successive present pairs, in the order (1,0), (2,0), (2,1), (3,0), ...,
+    # are i.i.d. geometric, so the draw costs O(n + m) instead of O(n^2).
+    chunk = int(p * pairs + 5 * math.sqrt(p * pairs)) + 16
+    gaps = rng.geometric(p, size=chunk)
+    while gaps.sum() <= pairs:
+        gaps = np.concatenate([gaps, rng.geometric(p, size=chunk)])
+    index = np.cumsum(gaps) - 1
+    index = index[index < pairs]
+    # pair index k is (v, w) with v (v - 1) / 2 <= k < v (v + 1) / 2 and w < v
+    v = ((1 + np.sqrt(1 + 8 * index.astype(np.float64))) // 2).astype(np.int64)
+    v -= v * (v - 1) // 2 > index
+    v += v * (v + 1) // 2 <= index
+    w = index - v * (v - 1) // 2
+    return Graph.from_edges(n, zip(v.tolist(), w.tolist()))
 
 
 def _disjoint_union(graphs: Sequence[Graph]) -> Graph:

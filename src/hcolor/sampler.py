@@ -1,18 +1,23 @@
-"""Single-site heat-bath dynamics, feasibility search, and exact oracles.
+"""Heat-bath dynamics, feasibility search, and exact oracles.
 
-The update rule resamples one uniformly chosen vertex from its exact
-conditional distribution given the rest of the configuration, so every step
-preserves validity and the valid-configuration law with the model's weights is
-stationary. One *sweep* performs n independent uniform vertex picks.
+The update rule resamples a vertex from its exact conditional distribution
+given the rest of the configuration, so every update preserves validity and
+the valid-configuration law with the model's weights is stationary. The
+vertices are split once per graph into the classes of a greedy proper
+coloring (:attr:`Graph.color_classes`); one *sweep* is one pass over these
+classes, resampling all vertices of a class at once, which is exact because
+they share no edge. Every vertex is updated once per sweep, and a chain
+reaches the same states as under single-site moves.
 
-Caveat: for some hard-constraint models the single-site chain is not
-irreducible (e.g. the six proper 3-colorings of a triangle are all frozen).
-Use :func:`is_glauber_irreducible` to check enumerable instances before
-trusting distributional output; larger instances inherit whatever sector the
-initial configuration lies in.
+Caveat: for some hard-constraint models single-site moves, and so this
+chain, are not irreducible (e.g. the six proper 3-colorings of a triangle are
+all frozen). Use :func:`is_glauber_irreducible` to check enumerable instances
+before trusting distributional output; larger instances inherit whatever
+sector the initial configuration lies in.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -140,57 +145,59 @@ def find_valid_configuration(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized multi-replicate update engine
+# Chromatic block heat-bath engine over replicate rows
 # ---------------------------------------------------------------------------
 
-_RNG_CHUNK = 1024  # steps of randomness drawn per batch
-_MASK_TABLE_MAX_Q = 12  # cumulative-weight tables are 2**q rows
+# The cumulative-weight lookup table has one row per pair of a distinct
+# activity row and an allowed-color mask: 2**q masks, at most 2**16 rows.
+_TABLE_MAX_Q = 12
+_TABLE_MAX_ROWS = 1 << 16
 
 
 class _Engine:
-    """Shared single-site update engine over R replicate rows.
+    """Chromatic block heat-bath engine over R replicate rows.
 
-    ``colors`` has shape (R, n+1); the final column permanently holds the
-    sentinel color q, paired with the padded adjacency so ragged neighbor
-    lists vectorize. Each replicate row consumes its own vertex picks and
-    uniforms, so replicates are mutually independent (rows may even carry
-    different activity vectors).
+    ``colors`` has shape (n+1, R) and an unsigned dtype wide enough for q:
+    column r is replicate r, and the final row permanently holds the sentinel
+    color q, paired with the padded adjacency so ragged neighbor lists
+    vectorize. A sweep resamples the graph's color classes in turn
+    (Gonzalez, Low, Gretton & Guestrin, AISTATS 2011). A class has no inner
+    edges, so its vertices are conditionally independent given the rest, and
+    one vectorized draw over all of its vertices and all rows is an exact
+    conditional resample. Each row consumes its own uniforms, so replicates
+    are mutually independent (rows may even carry different activities).
 
-    For q <= 12 the allowed set at a vertex is folded into a bitmask
-    (AND-reduction of per-neighbor-color masks) that indexes a precomputed
-    table of cumulative color weights, which keeps the per-step numpy work to
-    a handful of small 1-D gathers.
+    The allowed set at a vertex is the AND of per-neighbor-color bitmasks,
+    packed little-endian into bytes. With q <= 12 and few distinct activity
+    rows it indexes a table of normalized cumulative color weights; otherwise
+    the cumulative weights are formed from the mask bits at each update.
     """
 
     def __init__(self, model: Model, beta_rows: np.ndarray | None, replicates: int):
-        q = model.q
-        self.n = model.n
-        self.pad = model.graph.padded_adjacency()
-        weights = self._weights(model, beta_rows, replicates)  # (R, q)
-        self.allow_ext = np.ones((q, q + 1), dtype=bool)
-        self.allow_ext[:, :q] = model.h.allow_matrix
-        self.wts_qr = weights.T.copy()
-        groups, inverse = np.unique(weights, axis=0, return_inverse=True)
-        # table size is (distinct activity rows) * 2**q * q entries
-        self.use_masks = q <= _MASK_TABLE_MAX_Q and groups.shape[0] << q <= 1 << 22
-        if not self.use_masks:
-            return
-        # bit s of nbr_mask[t]: color s tolerates neighbor color t
-        full = (1 << q) - 1
-        self.nbr_mask = np.full(q + 1, full, dtype=np.uint16)
-        for t in range(q):
-            bits = 0
-            for s in range(q):
-                if model.h.allow_matrix[s, t]:
-                    bits |= 1 << s
-            self.nbr_mask[t] = bits
-        bits = (np.arange(1 << q)[:, None] >> np.arange(q)[None, :]) & 1  # (2**q, q)
-        tables = np.cumsum(groups[:, None, :] * bits[None, :, :], axis=2)  # (G, 2**q, q)
-        self.cum_flat = tables.reshape(-1, q)
-        self.group_offset = inverse.reshape(-1).astype(np.int64) << q
+        g, q = model.graph, model.q
+        self.q = q
+        self.dtype = np.min_scalar_type(q)
+        pad = g.padded_adjacency()
+        if pad.shape[1] == 0:  # edgeless: one sentinel neighbor keeps the shapes uniform
+            pad = np.full((g.n, 1), g.n, dtype=np.int64)
+        self.blocks = [(cls, pad[cls]) for cls in g.color_classes]
+        # bit s of nbr_bits[t]: color s tolerates neighbor color t; t = q is the sentinel
+        tolerates = np.ones((q + 1, q), dtype=bool)
+        tolerates[:q] = model.h.allow_matrix.T
+        self.nbr_bits = np.packbits(tolerates, axis=1, bitorder="little")  # (q+1, bytes)
+        self.log_w = self._log_weights(model, beta_rows, replicates)  # (R, q), row max 0
+        groups, inverse = np.unique(self.log_w, axis=0, return_inverse=True)
+        self.table = None
+        if q <= _TABLE_MAX_Q and groups.shape[0] << q <= _TABLE_MAX_ROWS:
+            bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1 == 1  # (2**q, q)
+            lw = np.where(bits, groups[:, None, :], -np.inf)  # (G, 2**q, q)
+            lw[:, 0, :] = 0.0  # mask 0 never occurs: the current color is always allowed
+            cum = np.cumsum(np.exp(lw - lw.max(axis=2, keepdims=True)), axis=2)
+            self.table = (cum[..., :-1] / cum[..., -1:]).reshape(-1, q - 1).T.copy()
+            self.group_offset = inverse.reshape(-1).astype(np.intp) << q  # (R,)
 
     @staticmethod
-    def _weights(model: Model, beta_rows: np.ndarray | None, replicates: int) -> np.ndarray:
+    def _log_weights(model: Model, beta_rows: np.ndarray | None, replicates: int) -> np.ndarray:
         if beta_rows is None:
             full = np.tile(model.beta_full, (replicates, 1))
         else:
@@ -198,50 +205,45 @@ class _Engine:
             if rows.shape != (replicates, model.q - 1):
                 raise ParameterError("beta_rows must have shape (replicates, q-1)")
             full = np.concatenate([np.zeros((replicates, 1)), rows], axis=1)
-        shifted = full - full.max(axis=1, keepdims=True)
-        return np.exp(shifted)
+        return full - full.max(axis=1, keepdims=True)
 
-    def run(self, colors: np.ndarray, steps: int, rng: np.random.Generator) -> None:
-        R = colors.shape[0]
-        n = self.n
-        row_base = np.arange(R, dtype=np.int64) * (n + 1)
-        flat = colors.reshape(-1)
-        done = 0
-        while done < steps:
-            block = min(_RNG_CHUNK, steps - done)
-            picks = rng.integers(0, n, size=(block, R))
-            unis = rng.random((block, R))
-            sites = picks + row_base[None, :]
-            if self.use_masks:
-                self._run_masked(flat, colors, block, picks, sites, unis, row_base)
-            else:
-                self._run_general(colors, block, picks, unis)
-            done += block
+    def run(self, colors: np.ndarray, sweeps: int, rng: np.random.Generator) -> None:
+        """Apply ``sweeps`` passes over the color classes to ``colors`` in place."""
+        R = colors.shape[1]
+        for _ in range(sweeps):
+            for cls, nbrs in self.blocks:
+                unis = rng.random((R, cls.shape[0])).T  # one uniform per (row, vertex)
+                mask = np.bitwise_and.reduce(self.nbr_bits.take(colors[nbrs], axis=0), axis=1)
+                cums, targets = self._cumulative(mask, unis)
+                new = np.zeros(unis.shape, dtype=self.dtype)
+                for cum in cums:
+                    new += cum < targets
+                colors[cls] = new
 
-    def _run_masked(self, flat, colors, block, picks, sites, unis, row_base):
-        pad, nbr_mask, cum_flat, goff = self.pad, self.nbr_mask, self.cum_flat, self.group_offset
-        for k in range(block):
-            nb = np.take(pad, picks[k], axis=0)  # (R, dmax)
-            ncol = flat.take(nb + row_base[:, None])
-            if ncol.shape[1]:
-                mask = np.bitwise_and.reduce(nbr_mask.take(ncol), axis=1)
-            else:
-                mask = nbr_mask.take(np.full(ncol.shape[0], self.allow_ext.shape[0]))
-            cum = cum_flat[goff + mask]  # (R, q)
-            target = unis[k] * cum[:, -1]
-            flat[sites[k]] = (cum < target[:, None]).sum(axis=1)
+    def _cumulative(self, mask: np.ndarray, unis: np.ndarray):
+        """Cumulative weights of colors 0..q-2 at each (vertex, row) of a class
+        update, one (k, R) array per color, and the draw targets they are
+        compared against: the new color is the number of entries below it."""
+        if self.table is not None:
+            key = self.group_offset + mask[..., 0]
+            if mask.shape[-1] > 1:
+                key += mask[..., 1].astype(np.intp) << 8
+            return (col.take(key) for col in self.table), unis
+        q, lw = self.q, self.log_w
 
-    def _run_general(self, colors, block, picks, unis):
-        R = colors.shape[0]
-        rows = np.arange(R)
-        for k in range(block):
-            u = picks[k]
-            ncol = colors[rows[:, None], self.pad[u]]  # (R, dmax)
-            ok = self.allow_ext[:, ncol].all(axis=2)  # (q, R)
-            w = self.wts_qr * ok
-            cum = np.cumsum(w, axis=0)
-            target = unis[k] * cum[-1]
-            colors[rows, u] = (cum < target).sum(axis=0)
+        def allowed(s):
+            return (mask[..., s >> 3] >> (s & 7)) & 1 == 1
+
+        # shift by the largest allowed log-weight so no allowed color underflows
+        top = np.full(unis.shape, -np.inf)
+        for s in range(q):
+            np.maximum(top, np.where(allowed(s), lw[:, s], -np.inf), out=top)
+
+        def weight(s):
+            return np.exp(np.where(allowed(s), lw[:, s] - top, -np.inf))
+
+        total = sum(weight(s) for s in range(q))
+        return itertools.accumulate(weight(s) for s in range(q - 1)), unis * total
 
 
 # ---------------------------------------------------------------------------
@@ -261,27 +263,26 @@ class Chain:
         if start is None:
             start = find_valid_configuration(model.graph, model.h, seed=seed)
         start = require_valid(start, model.graph, model.h)
-        self._colors = np.ascontiguousarray(np.append(start, model.q)[None, :], dtype=np.int64)
-        self._rng = np.random.default_rng(seed)
         self._engine = _Engine(model, None, 1)
+        self._colors = np.append(start, model.q).astype(self._engine.dtype)[:, None]
+        self._rng = np.random.default_rng(seed)
         self.sweeps_done = 0
 
     @property
     def current(self) -> np.ndarray:
-        return self._colors[0, :-1].copy()
+        return self._colors[:-1, 0].astype(np.int64)
 
     def sweep(self, count: int = 1) -> "Chain":
-        """Perform ``count`` sweeps of n uniform single-site updates each."""
+        """Perform ``count`` sweeps; each resamples every color class once."""
         if count < 0:
             raise ParameterError("sweep count must be nonnegative")
-        if count:
-            self._engine.run(self._colors, count * self.model.n, self._rng)
-            self.sweeps_done += count
+        self._engine.run(self._colors, count, self._rng)
+        self.sweeps_done += count
         return self
 
 
 def glauber_sweep(chain: Chain) -> Chain:
-    """One sweep (n uniform vertex resamplings); returns the same chain."""
+    """One sweep (every vertex resampled once, class by class); returns the same chain."""
     return chain.sweep(1)
 
 
@@ -302,11 +303,13 @@ def sample_many(
 ) -> np.ndarray:
     """(replicates, n) array of independently evolved chains from one start.
 
-    All chains begin at the same configuration (found per ``seed`` when
-    ``start`` is omitted) and consume disjoint randomness. ``beta_rows``
-    optionally overrides the model activities per replicate, which lets
-    experiments batch several parameter settings through one engine run;
-    rows with different activities remain mutually independent.
+    Each chain runs ``burn_in_sweeps`` sweeps, and a sweep resamples every
+    vertex once, color class by color class. All chains begin at the same
+    configuration (found per ``seed`` when ``start`` is omitted) and consume
+    disjoint randomness. ``beta_rows`` optionally overrides the model
+    activities per replicate, which lets experiments batch several parameter
+    settings through one engine run; rows with different activities remain
+    mutually independent.
     """
     if replicates < 0:
         raise ParameterError("replicates must be nonnegative")
@@ -318,11 +321,10 @@ def sample_many(
     start = require_valid(start, model.graph, model.h)
     if replicates == 0:
         return np.empty((0, model.n), dtype=np.int64)
-    colors = np.ascontiguousarray(np.tile(np.append(start, model.q), (replicates, 1)), dtype=np.int64)
-    rng = np.random.default_rng(seed)
     engine = _Engine(model, beta_rows, replicates)
-    engine.run(colors, burn_in_sweeps * model.n, rng)
-    return colors[:, :-1]
+    colors = np.repeat(np.append(start, model.q).astype(engine.dtype)[:, None], replicates, axis=1)
+    engine.run(colors, burn_in_sweeps, np.random.default_rng(seed))
+    return np.ascontiguousarray(colors[:-1].T, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hcolor.cli import main
+from hcolor.graphs import read_graph
+from hcolor.pseudolikelihood import mpl_hardcore
 
 
 def run_cli(*argv) -> int:
@@ -81,6 +84,45 @@ def test_estimate_degenerate_hardcore(tmp_path):
     report = json.loads(out.read_text())
     assert report["beta_hat"] == ["-inf"]
     assert report["degenerate"] == ["-inf"]
+
+
+def _previous_estimate_encoding(report, meta) -> str:
+    """The estimate artifact as the CLI wrote it before it reused report_to_json."""
+
+    def enc(x):
+        if np.isfinite(x):
+            return float(x)
+        return "+inf" if x > 0 else "-inf"
+
+    payload = {
+        "beta_hat": [enc(v) for v in report.beta_hat],
+        "degenerate": list(report.degenerate),
+        "iterations": report.iterations,
+        "grad_norm": report.final_gradient_norm,
+        "lambda_min": report.min_eigenvalue_neg_hessian_at_fit,
+        "rainbow_fractions": [float(v) for v in report.rainbow_fractions],
+        "meta": meta,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        [0, 0, 0, 0, 0],  # degenerate: beta_hat = -inf
+        [1, 0, 0, 0, 1],  # finite: log(c / u) = log 2
+    ],
+)
+def test_estimate_artifact_bytes_unchanged(tmp_path, cfg):
+    g = tmp_path / "g.json"
+    run_cli("gen-graph", "--kind", "path", "--params", '{"n": 5}', "--out", str(g))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg) + "\n")
+    out = tmp_path / "report.json"
+    assert run_cli("estimate", "--graph", str(g), "--h", "hardcore", "--config", str(cfg_path), "--out", str(out)) == 0
+    report = mpl_hardcore(cfg, read_graph(str(g)))
+    text = out.read_text()
+    assert text == _previous_estimate_encoding(report, json.loads(text)["meta"])
 
 
 def test_exact_command(tmp_path):

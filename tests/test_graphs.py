@@ -1,6 +1,7 @@
 """Graph representation, generators, statistics, disjoint subsets, file format."""
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,35 @@ def test_erdos_renyi_mean_degree():
     var = (2 / n) ** 2 * (n * (n - 1) / 2) * p * (1 - p)
     se = (var / seeds) ** 0.5
     assert abs(np.mean(mean_degs) - expected) <= 3 * se
+
+
+def test_erdos_renyi_is_sparse_in_memory():
+    # geometric edge skipping never materializes the n(n-1)/2 vertex pairs
+    n, c = 20000, 2.0
+    tracemalloc.start()
+    try:
+        g = generate("erdos_renyi", {"n": n, "c": c}, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    p = c / n
+    se = 2 / n * (n * (n - 1) / 2 * p * (1 - p)) ** 0.5
+    assert abs(2 * g.edge_count() / n - c * (n - 1) / n) <= 5 * se
+
+
+def test_erdos_renyi_pairs_are_independent_coin_flips():
+    # every one of the C(6, 2) pairs appears with probability c / n
+    n, c, seeds = 6, 3.0, 2000
+    hits = np.zeros((n, n))
+    for s in range(seeds):
+        for u, v in generate("erdos_renyi", {"n": n, "c": c}, seed=s).edges():
+            hits[u, v] += 1
+    p = c / n
+    freq = hits[np.triu_indices(n, k=1)] / seeds
+    assert np.all(np.abs(freq - p) <= 5 * (p * (1 - p) / seeds) ** 0.5)
+    assert generate("erdos_renyi", {"n": n, "c": n}, seed=0).edge_count() == n * (n - 1) // 2
+    assert generate("erdos_renyi", {"n": n, "c": 0}, seed=0).edge_count() == 0
 
 
 def test_round_trip_all_kinds(tmp_path):

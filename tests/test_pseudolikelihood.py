@@ -262,10 +262,10 @@ def test_mpl_fit_alternating_two_coloring_is_doubly_degenerate():
 
 
 def test_mpl_fit_root_verified_by_bisection():
-    # seed chosen so the sampled coloring uses every color with slack,
+    # a proper 3-coloring of the 10-cycle that uses every color with slack,
     # keeping the fit non-degenerate with healthy curvature
     g = generate("cycle", {"n": 10})
-    cfg = sample(Model(g, COL3, [0.0, 0.0]), burn_in_sweeps=80, seed=4)
+    cfg = [0, 1, 2, 1, 0, 1, 0, 2, 0, 2]
     rep = mpl_fit(cfg, g, COL3, tol=1e-12)
     assert not rep.is_degenerate
     assert rep.min_eigenvalue_neg_hessian_at_fit > 1e-3

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hcolor.errors import (
     InvalidConfigurationError,
 )
 from hcolor.graphs import generate
-from hcolor.model import Model, is_valid, preset
+from hcolor.model import ConstraintGraph, Model, is_valid, preset
 from hcolor.sampler import (
     Chain,
     conditional_distribution,
@@ -109,54 +110,128 @@ def test_chain_preserves_validity_and_counts_sweeps():
 
 
 class _ScriptedRng:
-    """Stand-in generator yielding prescribed vertex picks and uniforms."""
+    """Stand-in generator yielding prescribed uniforms, one array per class update."""
 
-    def __init__(self, picks, unis):
-        self._picks = np.asarray(picks)
-        self._unis = np.asarray(unis)
-
-    def integers(self, low, high, size):
-        assert size == self._picks.shape
-        return self._picks
+    def __init__(self, *unis):
+        self._unis = [np.asarray(u, dtype=np.float64) for u in unis]
 
     def random(self, size):
-        assert size == self._unis.shape
-        return self._unis
+        unis = self._unis.pop(0)
+        assert size == unis.shape
+        return unis
 
 
 def test_single_update_is_conditional_resampling():
-    # from (0, 0) on an edge, updating vertex 0 with a uniform draw of 0.9
-    # lands in the upper half of the (1/2, 1/2) conditional: color 1
+    # K2 has the classes {0} and {1}, so one sweep is two class updates and
+    # each consumes one scripted (rows, class size) draw. From (0, 0), a
+    # uniform of 0.9 at vertex 0 lands in the upper half of the (1/2, 1/2)
+    # conditional: color 1; 0.1 lands in the lower half: color 0. Vertex 1 is
+    # then blocked in row 0 and free in row 1.
     from hcolor.sampler import _Engine
 
+    assert [c.tolist() for c in K2.color_classes] == [[0], [1]]
     model = Model(K2, HARD, [0.0])
-    engine = _Engine(model, None, 1)
-    colors = np.array([[0, 0, 2]], dtype=np.int64)  # sentinel column holds q
-    engine.run(colors, 1, _ScriptedRng([[0]], [[0.9]]))
-    assert colors[0, :2].tolist() == [1, 0]
-    engine.run(colors, 1, _ScriptedRng([[1]], [[0.2]]))  # vertex 1 is blocked
-    assert colors[0, :2].tolist() == [1, 0]
+    engine = _Engine(model, None, 2)
+    colors = np.array([[0, 0], [0, 0], [2, 2]], dtype=engine.dtype)  # sentinel row holds q
+    rng = _ScriptedRng([[0.9], [0.1]], [[0.2], [0.8]])
+    engine.run(colors, 1, rng)
+    assert colors[:2].T.tolist() == [[1, 0], [0, 1]]
+    assert rng._unis == []
 
 
-def test_masked_and_general_engine_paths_agree():
-    # both code paths must consume the identical randomness stream and make
-    # identical color choices
+def test_on_the_fly_weights_match_exact_law():
+    # q = 13 exceeds the lookup-table limit, so every class update forms its
+    # cumulative weights from the allowed-color mask bits
     from hcolor.sampler import _Engine
 
-    g = generate("erdos_renyi", {"n": 9, "c": 2.0}, seed=3)
-    model = Model(g, preset("widom_rowlinson"), [0.4, -0.2])
-    start = find_valid_configuration(g, model.h, seed=0)
-    base = np.ascontiguousarray(np.tile(np.append(start, model.q), (6, 1)), dtype=np.int64)
+    h = ConstraintGraph(13, [(s, t) for s in range(13) for t in range(s, 13) if s + t <= 12])
+    model = Model(generate("path", {"n": 4}), h, np.linspace(-0.6, 0.6, 12))
+    assert _Engine(model, None, 1).table is None
+    replicates = 20000
+    draws = sample_many(model, replicates, burn_in_sweeps=100, seed=5)
+    for u, v in model.graph.edges():
+        assert h.allow_matrix[draws[:, u], draws[:, v]].all()
+    counts = np.stack([(draws == r).sum(axis=1) for r in range(h.q)], axis=1)
+    se = counts.std(axis=0, ddof=1) / math.sqrt(replicates)
+    exact = enumerate_exact(model).expected_counts
+    assert np.all(np.abs(counts.mean(axis=0) - exact) <= 5 * se)
 
-    fast = _Engine(model, None, 6)
-    slow = _Engine(model, None, 6)
-    slow.use_masks = False
-    assert fast.use_masks
 
-    a, b = base.copy(), base.copy()
-    fast.run(a, 200, np.random.default_rng(42))
-    slow.run(b, 200, np.random.default_rng(42))
-    assert np.array_equal(a, b)
+def _classes_of(g):
+    return [c.tolist() for c in g.color_classes]
+
+
+def test_color_classes_partition_vertices_without_inner_edges():
+    graphs = [
+        generate("erdos_renyi", {"n": 200, "c": 3.0}, seed=4),
+        generate("random_regular", {"n": 100, "d": 5}, seed=2),
+        generate("grid", {"rows": 7, "cols": 9}),
+        generate("complete", {"n": 6}),
+        generate("star", {"leaves": 0}),
+    ]
+    for g in graphs:
+        label = np.full(g.n, -1)
+        for c, cls in enumerate(g.color_classes):
+            assert np.all(np.diff(cls) > 0)
+            assert np.all(label[cls] == -1)
+            label[cls] = c
+        assert np.all(label >= 0)
+        assert all(label[u] != label[v] for u, v in g.edges())
+        assert len(g.color_classes) <= g.max_degree() + 1
+
+
+def test_color_classes_are_deterministic():
+    a = generate("erdos_renyi", {"n": 300, "c": 2.5}, seed=8)
+    b = generate("erdos_renyi", {"n": 300, "c": 2.5}, seed=8)
+    assert _classes_of(a) == _classes_of(b)
+    assert a.color_classes is a.color_classes
+
+
+class _WriteLog(np.ndarray):
+    """Color array that records the vertex indices of every write."""
+
+    def __setitem__(self, index, value):
+        self.log.append(np.asarray(index).tolist())
+        super().__setitem__(index, value)
+
+
+def test_one_sweep_updates_each_vertex_exactly_once():
+    from hcolor.sampler import _Engine
+
+    g = generate("erdos_renyi", {"n": 40, "c": 3.0}, seed=1)
+    model = Model(g, preset("widom_rowlinson"), [0.3, -0.2])
+    engine = _Engine(model, None, 3)
+    start = np.append(find_valid_configuration(g, model.h, seed=0), model.q)
+    colors = np.repeat(start.astype(engine.dtype)[:, None], 3, axis=1).view(_WriteLog)
+    colors.log = []
+    engine.run(colors, 1, np.random.default_rng(0))
+    assert colors.log == _classes_of(g)
+    assert sorted(v for cls in colors.log for v in cls) == list(range(g.n))
+
+
+def test_odd_cycle_three_classes_match_exact_law():
+    g = generate("cycle", {"n": 7})
+    assert _classes_of(g) == [[0, 2, 4], [1, 3, 5], [6]]
+    replicates = 20000
+    for h, beta in [(HARD, [0.4]), (preset("widom_rowlinson"), [0.2, -0.3])]:
+        model = Model(g, h, beta)
+        draws = sample_many(model, replicates, burn_in_sweeps=60, seed=9)
+        counts = np.stack([(draws == r).sum(axis=1) for r in range(h.q)], axis=1)
+        se = counts.std(axis=0, ddof=1) / math.sqrt(replicates)
+        exact = enumerate_exact(model).expected_counts
+        assert np.all(np.abs(counts.mean(axis=0) - exact) <= 5 * se)
+
+
+def test_engine_randomness_memory_is_bounded():
+    # uniforms are drawn per class update, never for many sweeps at once
+    model = Model(TRIANGLE, HARD, [0.0])
+    tracemalloc.start()
+    try:
+        sample_many(model, 20000, burn_in_sweeps=400, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_zero_sweeps_leaves_chain_unchanged():
@@ -173,6 +248,9 @@ def test_sampling_is_bit_deterministic():
     a = sample(model, burn_in_sweeps=30, seed=123)
     b = sample(model, burn_in_sweeps=30, seed=123)
     assert a.tolist() == b.tolist()
+    # the state depends on the number of sweeps, not on how they were requested
+    split = Chain(model, seed=123).sweep(12).sweep(18).current
+    assert split.tolist() == a.tolist()
     ma = sample_many(model, 5, burn_in_sweeps=10, seed=7)
     mb = sample_many(model, 5, burn_in_sweeps=10, seed=7)
     assert np.array_equal(ma, mb)
