@@ -3,7 +3,7 @@
 
 Draws a single configuration of the two-color exclusion model on a large
 cycle, then recovers the activity parameter two ways: the closed-form
-count ratio, and gradient ascent on the log pseudo-likelihood. The two
+count ratio, and damped Newton ascent on the log pseudo-likelihood. The two
 agree to many digits, and both sit close to the truth.
 """
 import math
@@ -24,7 +24,7 @@ print(f"one sample on a {graph.n}-cycle: {occupied} occupied vertices")
 closed = mpl_hardcore(cfg, graph)
 fitted = mpl_fit(cfg, graph, hard, tol=1e-10)
 print(f"closed form : beta_hat = {closed.beta_hat[0]:+.6f}")
-print(f"gradient fit: beta_hat = {fitted.beta_hat[0]:+.6f} ({fitted.iterations} iterations)")
+print(f"Newton fit  : beta_hat = {fitted.beta_hat[0]:+.6f} ({fitted.iterations} iterations)")
 print(f"truth       : beta     = {truth:+.6f}")
 print(f"scaled error: sqrt(n)*|err| = {math.sqrt(graph.n) * abs(closed.beta_hat[0] - truth):.3f}")
 print(f"curvature at fit: {closed.min_eigenvalue_neg_hessian_at_fit:.4f}")

@@ -9,7 +9,7 @@ repulsion, proper colorings, and arbitrary constraint graphs):
   interaction graph at once, with exact enumeration, detailed-balance, and
   total-variation oracles at small scale,
 - estimating the activity parameters from a single sample by maximum
-  pseudo-likelihood (closed form for the two-color model, gradient ascent in
+  pseudo-likelihood (closed form for the two-color model, damped Newton in
   general), with curvature and degeneracy diagnostics,
 - replication experiments for error scaling, gradient concentration, exact
   KL divergences, and the constructions where consistent estimation fails.

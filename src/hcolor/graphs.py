@@ -112,12 +112,32 @@ class Graph:
 
         The sentinel row lets vectorized code treat every vertex as having the
         same degree; callers pair it with a virtual always-compatible color.
+        Built once per graph and cached; the array is read-only.
         """
+        return self._padded_adjacency
+
+    @cached_property
+    def _padded_adjacency(self) -> np.ndarray:
         dmax = self.max_degree()
         pad = np.full((self.n, dmax), self.n, dtype=np.int64)
         for u, nbrs in enumerate(self.adjacency):
             pad[u, : len(nbrs)] = nbrs
+        pad.setflags(write=False)
         return pad
+
+    @cached_property
+    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (u, v) of all edges with u < v, in the order of ``edges()``.
+
+        Computed once per graph and cached; the arrays are read-only.
+        """
+        pad = self.padded_adjacency()
+        u = np.broadcast_to(np.arange(self.n)[:, None], pad.shape)
+        keep = (u < pad) & (pad < self.n)
+        eu, ev = u[keep], pad[keep]
+        eu.setflags(write=False)
+        ev.setflags(write=False)
+        return eu, ev
 
     @cached_property
     def color_classes(self) -> tuple[np.ndarray, ...]:

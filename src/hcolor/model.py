@@ -201,12 +201,8 @@ def _as_colors(cfg, n: int, q: int) -> np.ndarray:
 def is_valid(cfg, g: Graph, h: ConstraintGraph) -> bool:
     """True iff every edge of g carries an allowed color pair."""
     colors = _as_colors(cfg, g.n, h.q)
-    for u in range(g.n):
-        cu = colors[u]
-        for v in g.adjacency[u]:
-            if v > u and not h.allow_matrix[cu, colors[v]]:
-                return False
-    return True
+    eu, ev = g.edge_endpoints
+    return bool(h.allow_matrix[colors[eu], colors[ev]].all())
 
 
 def require_valid(cfg, g: Graph, h: ConstraintGraph) -> np.ndarray:

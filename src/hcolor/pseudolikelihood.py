@@ -9,8 +9,9 @@ of the observed color. Its gradient component r is::
 
 and the negated Hessian is an average of multinomial covariance matrices, one
 per vertex, built from the allowed-color softmax probabilities. That negated
-Hessian is positive semidefinite with largest eigenvalue below 1, so plain
-gradient ascent with unit step converges whenever the fit is non-degenerate.
+Hessian is positive semidefinite with largest eigenvalue below 1, so the log
+pseudo-likelihood is concave and damped Newton with a backtracking line search
+reaches its maximum in a handful of steps whenever the fit is non-degenerate.
 
 For the two-color occupancy model the maximizer is available in closed form:
 log of (occupied count / recolorable empty-site count).
@@ -48,12 +49,20 @@ DEGENERATE_NONE = ""
 DEGENERATE_NEG = "-inf"
 DEGENERATE_POS = "+inf"
 
-# A coordinate drifting past this magnitude under gradient ascent is treated
-# as diverging and frozen with the matching infinity flag.
+# A coordinate drifting past this magnitude during the fit is treated as
+# diverging and frozen with the matching infinity flag.
 FREEZE_BOUND = 40.0
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
+
+# Newton line search: sufficient-increase fraction (Armijo), the predicted
+# increase below which the full step is taken untested (it is then smaller
+# than the rounding error of the log pseudo-likelihood, and the iterate is in
+# the quadratic region), and the smallest step fraction tried.
+_ARMIJO = 1e-4
+_QUADRATIC_SLOPE = 1e-12
+_MIN_STEP_FRACTION = 2.0**-30
 
 
 @dataclass
@@ -120,12 +129,15 @@ def _log_pl(state: PLState, b_full: np.ndarray) -> float:
 def pl_gradient(cfg, g: Graph, h: ConstraintGraph, b) -> np.ndarray:
     """Gradient of the normalized log pseudo-likelihood; each entry in [-1, 1]."""
     state = PLState.from_configuration(cfg, g, h)
-    return _gradient(state, _full_params(b, h.q))
+    return _derivatives(state, _full_params(b, h.q))[0]
 
 
-def _gradient(state: PLState, b_full: np.ndarray) -> np.ndarray:
-    theta = _theta(state, b_full)
-    return state.counts[1:] / state.n - theta[:, 1:].mean(axis=0)
+def _derivatives(state: PLState, b_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and negated Hessian of the normalized log pseudo-likelihood."""
+    t = _theta(state, b_full)[:, 1:]
+    grad = state.counts[1:] / state.n - t.mean(axis=0)
+    neg_hess = (np.diag(t.sum(axis=0)) - t.T @ t) / state.n
+    return grad, neg_hess
 
 
 def pl_hessian(cfg, g: Graph, h: ConstraintGraph, b) -> np.ndarray:
@@ -136,51 +148,17 @@ def pl_hessian(cfg, g: Graph, h: ConstraintGraph, b) -> np.ndarray:
     symmetric negative semidefinite everywhere.
     """
     state = PLState.from_configuration(cfg, g, h)
-    return _hessian(state, _full_params(b, h.q))
+    return -_derivatives(state, _full_params(b, h.q))[1]
 
 
-def _hessian(state: PLState, b_full: np.ndarray) -> np.ndarray:
-    t = _theta(state, b_full)[:, 1:]
-    neg = np.diag(t.sum(axis=0)) - t.T @ t
-    return -neg / state.n
-
-
-# ---------------------------------------------------------------------------
-# Eigenvalues by cyclic Jacobi rotations (matrices here are (q-1) x (q-1))
-# ---------------------------------------------------------------------------
-
-
-def symmetric_eigenvalues(a: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix, ascending, via cyclic Jacobi."""
-    a = np.array(a, dtype=np.float64)
+def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending."""
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError("matrix must be square")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise ParameterError("matrix must be symmetric")
-    m = a.shape[0]
-    if m == 1:
-        return a[0, :1].copy()
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(m - 1):
-            for r in range(p + 1, m):
-                apr = a[p, r]
-                off = max(off, abs(apr))
-                if abs(apr) <= 1e-300:
-                    continue
-                diff = a[r, r] - a[p, p]
-                phi = 0.5 * np.arctan2(2.0 * apr, diff)
-                c, s = np.cos(phi), np.sin(phi)
-                rot_p = c * a[:, p] - s * a[:, r]
-                rot_r = s * a[:, p] + c * a[:, r]
-                a[:, p], a[:, r] = rot_p, rot_r
-                rot_p = c * a[p, :] - s * a[r, :]
-                rot_r = s * a[p, :] + c * a[r, :]
-                a[p, :], a[r, :] = rot_p, rot_r
-        if off <= 1e-15 * scale:
-            break
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(a)
 
 
 def min_eigenvalue_neg_hessian(cfg, g: Graph, h: ConstraintGraph, b) -> float:
@@ -200,13 +178,17 @@ class EstimateReport:
     """Fit output: estimates, convergence info, and degeneracy diagnostics.
 
     ``beta_hat`` may contain +/-inf where the corresponding ``degenerate``
-    flag is set ("-inf" when the color never occurs, "+inf" when it has no
-    recolorable slack). ``rainbow_fractions[r-1]`` is the fraction of vertices
-    where color r is allowed, the quantity controlling curvature of the fit.
+    flag is set, because the maximizer lies at that infinity (for instance
+    "-inf" when the color never occurs, "+inf" when it has no recolorable
+    slack). ``converged`` is False when the fitter stopped before
+    meeting its gradient tolerance. ``rainbow_fractions[r-1]`` is the fraction
+    of vertices where color r is allowed, the quantity controlling curvature
+    of the fit.
     """
 
     beta_hat: np.ndarray
     iterations: int
+    converged: bool
     final_gradient_norm: float | None
     min_eigenvalue_neg_hessian_at_fit: float | None
     degenerate: tuple[str, ...]
@@ -251,11 +233,12 @@ def mpl_hardcore(cfg, g: Graph) -> EstimateReport:
     rainbow = np.array([allowed_1 / state.n])
     if c > 0 and u > 0:
         beta = math.log(c / u)
-        grad = _gradient(state, np.array([0.0, beta]))
-        lam = max(float(-_hessian(state, np.array([0.0, beta]))[0, 0]), 0.0)
+        grad, neg_hess = _derivatives(state, np.array([0.0, beta]))
+        lam = max(float(neg_hess[0, 0]), 0.0)
         return EstimateReport(
             beta_hat=np.array([beta]),
             iterations=0,
+            converged=True,
             final_gradient_norm=float(np.abs(grad).max()),
             min_eigenvalue_neg_hessian_at_fit=lam,
             degenerate=(DEGENERATE_NONE,),
@@ -266,11 +249,60 @@ def mpl_hardcore(cfg, g: Graph) -> EstimateReport:
     return EstimateReport(
         beta_hat=np.array([value]),
         iterations=0,
+        converged=True,
         final_gradient_norm=None,
         min_eigenvalue_neg_hessian_at_fit=None,
         degenerate=(flag,),
         rainbow_fractions=rainbow,
     )
+
+
+def _divergence_flags(state: PLState) -> list[str]:
+    """Per activity, the infinity its pseudo-likelihood maximizer lies at.
+
+    Forced vertices (one allowed color) add nothing to the log-PL. At an
+    informative vertex colored c, each other allowed color s adds a term that
+    rises with b_c - b_s; call s -> c an arc. The log-PL is non-decreasing
+    along a direction v iff v_s <= v_c on every arc, and its supremum drives
+    every arc between two strongly connected components to an infinite gap.
+    So colors strictly above color 0 run to +inf and colors strictly below it
+    to -inf, and a component unrelated to color 0 runs to +inf when its arcs
+    all come in and to -inf when they all go out. In the limit a color at
+    +inf forces every vertex where it is allowed and one at -inf leaves every
+    allowed set, so the test repeats on what remains. A color that never
+    occurs is flagged -inf even when no informative vertex allows it.
+    """
+    q = state.q
+    flags = [DEGENERATE_NONE] * (q - 1)
+    allowed = state.allowed.copy()
+    while True:
+        informative = allowed.sum(axis=1) > 1
+        onehot = np.eye(q, dtype=np.int64)[state.colors[informative]]
+        reach = (allowed[informative].T.astype(np.int64) @ onehot > 0) | np.eye(q, dtype=bool)
+        while True:  # transitive closure by repeated squaring
+            longer = reach.astype(np.int64) @ reach.astype(np.int64) > 0
+            if np.array_equal(longer, reach):
+                break
+            reach = longer
+        strict = reach & ~reach.T  # strict[a, b]: b lies strictly above a
+        has_below, has_above = strict.any(axis=0), strict.any(axis=1)
+        unrelated = ~reach[0] & ~reach[:, 0]
+        up = strict[0] | (unrelated & has_below & ~has_above)
+        down = strict[:, 0] | (unrelated & has_above & ~has_below)
+        fresh = np.flatnonzero(up | down)  # never color 0; flagged colors have no arcs
+        if not fresh.size:
+            break
+        for s in fresh:
+            if up[s]:
+                flags[s - 1] = DEGENERATE_POS
+                allowed[allowed[:, s]] = False
+            else:
+                flags[s - 1] = DEGENERATE_NEG
+                allowed[:, s] = False
+    for r in np.flatnonzero(state.counts[1:] == 0):
+        if flags[r] == DEGENERATE_NONE:
+            flags[r] = DEGENERATE_NEG
+    return flags
 
 
 def mpl_fit(
@@ -282,19 +314,26 @@ def mpl_fit(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EstimateReport:
-    """Maximum pseudo-likelihood fit by gradient ascent with fixed step.
+    """Maximum pseudo-likelihood fit by damped Newton ascent.
 
-    Iterates ``b <- b + step * gradient(b)`` until the sup-norm of the
-    gradient over non-frozen coordinates drops below ``tol``. Unit step is
-    safe because the negated Hessian's spectrum lies in [0, 1].
+    Each iteration solves the Newton system of the non-frozen coordinates,
+    scales the direction so no coordinate moves by more than ``step``, and
+    backtracks on the log pseudo-likelihood until the Armijo condition holds.
+    Once the predicted increase is below rounding level (the quadratic
+    region) the full step is taken untested. Iteration stops when the
+    sup-norm of the gradient over non-frozen coordinates is at most ``tol``
+    (``converged`` True), after ``max_iter`` steps, or when the line search
+    can make no progress (``converged`` False in both cases).
 
-    Diverging components are detected structurally before iterating: a color
-    that never occurs has its maximizer at -inf, and a color that is allowed
-    only at its own (not individually forced) vertices has it at +inf. Such
-    coordinates are flagged, pinned at +/-FREEZE_BOUND (numerically
-    indistinguishable from the limit), and excluded from the convergence
-    test; a coordinate that still wanders past the bound during iteration is
-    frozen the same way.
+    Diverging components are detected structurally before iterating, from
+    which colors can replace which at informative vertices (see
+    ``_divergence_flags``): for instance a color that never occurs has its
+    maximizer at -inf, a color allowed only at its own unforced vertices has
+    it at +inf, and when color 0 is allowed only at its own unforced vertices
+    every other activity runs to -inf together. Such coordinates are flagged,
+    pinned at +/-FREEZE_BOUND (numerically indistinguishable from the
+    limit), and excluded from the convergence test; a coordinate that still
+    wanders past the bound during iteration is frozen the same way.
     """
     state = PLState.from_configuration(cfg, g, h)
     q = h.q
@@ -308,44 +347,53 @@ def mpl_fit(
         raise ParameterError("step must be positive")
     flags = [DEGENERATE_NONE] * (q - 1)
     free = np.ones(q - 1, dtype=bool)
-    counts = state.counts[1:]
-    uncon = state.unconstrained()[1:]
-    row_choices = state.allowed.sum(axis=1)
-    for r in range(q - 1):
-        if counts[r] == 0:
-            flags[r] = DEGENERATE_NEG
-            b[r] = -FREEZE_BOUND
-            free[r] = False
-        elif uncon[r] == counts[r]:
-            # color r+1 has no slack: allowed exactly at its own vertices
-            unforced = np.any((state.colors == r + 1) & (row_choices > 1))
-            if unforced:
-                flags[r] = DEGENERATE_POS
-                b[r] = FREEZE_BOUND
-                free[r] = False
-            # all its vertices forced: that coordinate's gradient vanishes
-            # identically and the fit reduces to the forced-model case
-    iterations = 0
-    grad_norm = 0.0
-    for _ in range(max_iter):
-        grad = _gradient(state, np.concatenate([[0.0], b]))
-        grad_norm = float(np.abs(grad[free]).max()) if free.any() else 0.0
-        if grad_norm <= tol:
-            break
-        b[free] += step * grad[free]
-        iterations += 1
-        newly_neg = free & (b < -FREEZE_BOUND)
-        newly_pos = free & (b > FREEZE_BOUND)
-        for r in np.flatnonzero(newly_neg):
-            flags[r] = DEGENERATE_NEG
-            b[r] = -FREEZE_BOUND
-        for r in np.flatnonzero(newly_pos):
-            flags[r] = DEGENERATE_POS
-            b[r] = FREEZE_BOUND
-        free &= ~(newly_neg | newly_pos)
 
+    def freeze(r: int, flag: str) -> None:
+        flags[r] = flag
+        b[r] = -FREEZE_BOUND if flag == DEGENERATE_NEG else FREEZE_BOUND
+        free[r] = False
+
+    for r, flag in enumerate(_divergence_flags(state)):
+        if flag != DEGENERATE_NONE:
+            freeze(r, flag)
+
+    iterations = 0
     b_full = np.concatenate([[0.0], b])
-    lam = max(float(symmetric_eigenvalues(-_hessian(state, b_full))[0]), 0.0)
+    value = _log_pl(state, b_full)
+    grad, neg_hess = _derivatives(state, b_full)
+    grad_norm = float(np.abs(grad[free]).max()) if free.any() else 0.0
+    while grad_norm > tol and iterations < max_iter:
+        g_free = grad[free]
+        direction, *_ = np.linalg.lstsq(neg_hess[np.ix_(free, free)], g_free, rcond=None)
+        slope = float(g_free @ direction)
+        if not slope > 0:
+            direction, slope = g_free, float(g_free @ g_free)
+        scale = min(1.0, step / float(np.abs(direction).max()))
+        direction, slope = direction * scale, slope * scale
+        t = 1.0
+        while True:
+            cand = b.copy()
+            cand[free] += t * direction
+            cand_value = _log_pl(state, np.concatenate([[0.0], cand]))
+            if slope <= _QUADRATIC_SLOPE or cand_value >= value + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if t < _MIN_STEP_FRACTION:
+                break
+        if t < _MIN_STEP_FRACTION or np.array_equal(cand, b):
+            break  # no representable ascent left
+        b[:] = cand
+        iterations += 1
+        value = cand_value
+        past_bound = np.flatnonzero(free & (np.abs(b) > FREEZE_BOUND))
+        for r in past_bound:
+            freeze(r, DEGENERATE_NEG if b[r] < 0 else DEGENERATE_POS)
+        if past_bound.size:
+            value = _log_pl(state, np.concatenate([[0.0], b]))
+        grad, neg_hess = _derivatives(state, np.concatenate([[0.0], b]))
+        grad_norm = float(np.abs(grad[free]).max()) if free.any() else 0.0
+
+    lam = max(float(symmetric_eigenvalues(neg_hess)[0]), 0.0)
     beta_hat = b.copy()
     for r, flag in enumerate(flags):
         if flag == DEGENERATE_NEG:
@@ -355,6 +403,7 @@ def mpl_fit(
     return EstimateReport(
         beta_hat=beta_hat,
         iterations=iterations,
+        converged=grad_norm <= tol,
         final_gradient_norm=grad_norm,
         min_eigenvalue_neg_hessian_at_fit=lam,
         degenerate=tuple(flags),

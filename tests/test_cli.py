@@ -86,6 +86,20 @@ def test_estimate_degenerate_hardcore(tmp_path):
     assert report["degenerate"] == ["-inf"]
 
 
+def test_estimate_hardcore_cross_check_on_large_cycle(tmp_path):
+    # large beta_hat with small curvature: the optimizer must still land
+    # within 1e-6 of the closed form instead of refusing to write
+    g = tmp_path / "g.json"
+    run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 6003}', "--out", str(g))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1, 0] * 3000 + [0, 0, 0]) + "\n")
+    out = tmp_path / "report.json"
+    code = run_cli("estimate", "--graph", str(g), "--h", "hardcore", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    # 3000 occupied vertices; 2 empty vertices with an empty neighborhood
+    assert json.loads(out.read_text())["beta_hat"] == [math.log(3000 / 2)]
+
+
 def _previous_estimate_encoding(report, meta) -> str:
     """The estimate artifact as the CLI wrote it before it reused report_to_json."""
 

@@ -253,3 +253,19 @@ def test_reader_rejects_malformed():
 def test_writer_emits_exact_shape():
     g = generate("path", {"n": 3})
     assert graph_to_json(g) == '{"edges": [[0, 1], [1, 2]], "n": 3}'
+
+
+def test_padded_adjacency_and_edge_endpoints_cached_read_only():
+    g = generate("star", {"leaves": 3})
+    pad = g.padded_adjacency()
+    assert pad.tolist() == [[1, 2, 3], [0, 4, 4], [0, 4, 4], [0, 4, 4]]
+    assert g.padded_adjacency() is pad
+    with pytest.raises(ValueError):
+        pad[0, 0] = 2
+    for kind, params in [("path", {"n": 7}), ("erdos_renyi", {"n": 30, "c": 2.0}), ("complete", {"n": 1})]:
+        g = generate(kind, params, seed=2)
+        eu, ev = g.edge_endpoints
+        assert list(zip(eu.tolist(), ev.tolist())) == g.edges()
+        assert g.edge_endpoints[0] is eu
+        with pytest.raises(ValueError):
+            eu[:1] = 0

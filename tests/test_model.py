@@ -93,6 +93,22 @@ def test_is_valid_examples():
         is_valid([0, 3], K2, hard)  # color out of range
 
 
+
+def test_is_valid_matches_edge_loop():
+    # random colorings, mostly invalid, against an edge-by-edge reference
+    rng = np.random.default_rng(17)
+    hselect = [preset("hardcore"), preset("widom_rowlinson"), preset("proper_coloring", q=3)]
+    outcomes = set()
+    for trial in range(60):
+        h = hselect[trial % len(hselect)]
+        g = generate("erdos_renyi", {"n": int(rng.integers(1, 12)), "c": 1.2}, seed=trial)
+        cfg = rng.integers(0, h.q, size=g.n)
+        expected = all(h.allow_matrix[cfg[u], cfg[v]] for u, v in g.edges())
+        assert is_valid(cfg, g, h) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_color_counts():
     assert color_counts([0, 1, 0, 2], 3).tolist() == [2, 1, 1]
     assert color_counts([0] * 6, 2).tolist() == [6, 0]

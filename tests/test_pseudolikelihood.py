@@ -1,6 +1,7 @@
 """Pseudo-likelihood values, derivatives, estimators, and eigen diagnostics."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from hcolor.errors import (
     ParameterError,
 )
 from hcolor.graphs import generate
-from hcolor.model import Model, preset
+from hcolor.model import Model, is_valid, preset
 from hcolor.pseudolikelihood import (
     DEGENERATE_NEG,
     DEGENERATE_NONE,
@@ -300,3 +301,110 @@ def test_report_json_encodes_infinities():
     text = report_to_json(rep)
     assert '"-inf"' in text
     assert '"rainbow_fractions"' in text
+
+
+def test_mpl_fit_reference_color_without_slack_flags_all_neg():
+    # color 0 is allowed only at its own vertices, not all of them forced:
+    # the log-PL rises strictly along b -> b - t * 1, off every axis
+    g = generate("cycle", {"n": 10})
+    cfg = [0, 2, 0, 2, 1, 0, 1, 2, 0, 1]
+    assert log_pl(cfg, g, COL3, [-5.0, -5.0]) > log_pl(cfg, g, COL3, [0.0, 0.0])
+    rep = mpl_fit(cfg, g, COL3)
+    assert rep.degenerate == (DEGENERATE_NEG, DEGENERATE_NEG)
+    assert np.all(rep.beta_hat == -np.inf)
+    # all of color 0's vertices forced: nothing runs off, init comes back
+    rep = mpl_fit([0, 1, 2], TRIANGLE, COL3, init=[0.37, -0.8])
+    assert rep.degenerate == (DEGENERATE_NONE, DEGENERATE_NONE)
+    assert np.allclose(rep.beta_hat, [0.37, -0.8]) and rep.iterations == 0
+
+
+def test_mpl_fit_absent_reference_color_flags_all_pos():
+    # color 0 never occurs but is allowed everywhere, while colors 1-3 each
+    # have slack: the log-PL rises strictly along b -> b + t * 1
+    g = generate("path", {"n": 6})
+    col4 = preset("proper_coloring", q=4)
+    cfg = [1, 2, 3, 1, 3, 2]
+    assert log_pl(cfg, g, col4, [5.0] * 3) > log_pl(cfg, g, col4, [0.0] * 3)
+    rep = mpl_fit(cfg, g, col4)
+    assert rep.degenerate == (DEGENERATE_POS,) * 3
+    assert np.all(rep.beta_hat == np.inf)
+
+
+def test_mpl_fit_reports_convergence():
+    g = generate("cycle", {"n": 10})
+    cfg = [0, 1, 2, 1, 0, 1, 0, 2, 0, 2]
+    rep = mpl_fit(cfg, g, COL3, tol=1e-12)
+    assert rep.converged and rep.final_gradient_norm <= 1e-12
+    cut = mpl_fit(cfg, g, COL3, tol=1e-12, max_iter=1)
+    assert cut.iterations == 1
+    assert not cut.converged and cut.final_gradient_norm > 1e-12
+    assert mpl_hardcore([0, 0, 1], PATH3).converged
+
+
+@pytest.mark.parametrize("beta", [[0.3, -0.3], [-0.2, 0.1]])
+def test_mpl_fit_newton_iterations_on_cycle_coloring(beta):
+    g = generate("cycle", {"n": 1000})
+    cfg = sample(Model(g, COL3, beta), burn_in_sweeps=100, seed=11)
+    rep = mpl_fit(cfg, g, COL3)
+    assert not rep.is_degenerate
+    assert rep.converged and rep.iterations <= 20
+
+
+def test_mpl_fit_newton_iterations_on_hardcore_closed_form_inputs():
+    # the 100 non-degenerate inputs of acceptance criterion 2, at its
+    # tolerance: the line search must not stall below rounding level
+    kinds = [
+        ("cycle", {}),
+        ("path", {}),
+        ("random_regular", {"d": 3}),
+        ("erdos_renyi", {"c": 1.8}),
+    ]
+    checked = 0
+    trial = 0
+    while checked < 100:
+        trial += 1
+        rng = np.random.default_rng(20250808 + 31 * trial)
+        kind, params = kinds[trial % len(kinds)]
+        n = int(rng.integers(8, 40))
+        if kind == "random_regular" and n % 2:
+            n += 1
+        g = generate(kind, {**params, "n": n}, seed=trial)
+        beta = float(rng.uniform(-1, 1))
+        cfg = sample(Model(g, HARD, [beta]), burn_in_sweeps=40, seed=trial)
+        if mpl_hardcore(cfg, g).is_degenerate:
+            continue
+        rep = mpl_fit(cfg, g, HARD, tol=1e-10)
+        assert rep.converged and rep.iterations <= 20, (trial, rep.iterations)
+        checked += 1
+
+
+def test_mpl_fit_flags_two_color_runaway():
+    # colors 1 and 3 replace each other and color 0, but nothing replaces
+    # them: the log-PL rises along b1 = b3 -> -inf, off every axis and off
+    # the reference direction; b2 keeps the finite value log(1/2)
+    g = generate("path", {"n": 5})
+    col4 = preset("proper_coloring", q=4)
+    cfg = [0, 1, 2, 3, 0]
+    b2 = math.log(0.5)
+    assert log_pl(cfg, g, col4, [-5.0, b2, -5.0]) > log_pl(cfg, g, col4, [0.0, b2, 0.0])
+    rep = mpl_fit(cfg, g, col4, tol=1e-10)
+    assert rep.degenerate == (DEGENERATE_NEG, DEGENERATE_NONE, DEGENERATE_NEG)
+    assert rep.converged
+    assert rep.beta_hat[1] == pytest.approx(b2, abs=1e-8)
+
+
+def test_mpl_fit_no_unflagged_runaway_on_small_paths():
+    # every valid coloring of the 5-path: each activity is either flagged or
+    # settles at a moderate finite value, never drifting off unflagged
+    g = generate("path", {"n": 5})
+    fits = 0
+    for h in [preset("proper_coloring", q=4), preset("counterexample_h"), preset("widom_rowlinson")]:
+        for cfg in itertools.product(range(h.q), repeat=g.n):
+            if not is_valid(cfg, g, h):
+                continue
+            rep = mpl_fit(list(cfg), g, h)
+            finite = rep.beta_hat[np.isfinite(rep.beta_hat)]
+            assert rep.converged, cfg
+            assert np.all(np.abs(finite) <= 10.0), (cfg, rep.beta_hat)
+            fits += 1
+    assert fits == 507
