@@ -79,7 +79,10 @@ def _parse_h(spec: str):
     """Either a preset spec like 'hardcore' / 'proper_coloring:3', or a file path."""
     name, _, qpart = spec.partition(":")
     if name in _PRESET_NAMES:
-        q = int(qpart) if qpart else None
+        try:
+            q = int(qpart) if qpart else None
+        except ValueError as exc:
+            raise ParameterError(f"could not parse the color count in '{spec}'") from exc
         return preset(name, q=q)
     return read_constraint(spec)
 
@@ -225,6 +228,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_experiment(args) -> int:
     _check_out(args.out)
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.settings) as fh:
         settings = json.load(fh)
     kind = settings.get("experiment")

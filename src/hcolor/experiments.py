@@ -21,7 +21,9 @@ from .model import ConstraintGraph, Model, is_hardcore, require_valid, unconstra
 from .pseudolikelihood import mpl_fit, mpl_hardcore, pl_gradient
 from .sampler import (
     DEFAULT_STATE_CAP,
+    _color_counts,
     _enumerate_states,
+    _log_partition,
     default_burn_in,
     find_valid_configuration,
     sample_many,
@@ -307,26 +309,6 @@ def gradient_concentration(
 # ---------------------------------------------------------------------------
 
 
-def _partition_stats(g: Graph, h: ConstraintGraph, beta_a, beta_b, cap: int):
-    """(F(a), F(b), gradF(a)) from one enumeration of the valid states."""
-    states = _enumerate_states(g, h, cap)
-    if not states:
-        raise ParameterError("model has no valid configuration")
-    counts = np.stack([np.bincount(s, minlength=h.q) for s in states])  # (S, q)
-    ca = counts[:, 1:]
-
-    def log_partition(beta):
-        lw = ca @ np.asarray(beta, dtype=np.float64)
-        m = lw.max()
-        return float(m + np.log(np.exp(lw - m).sum())), lw
-
-    fa, lw_a = log_partition(beta_a)
-    fb, _ = log_partition(beta_b)
-    pa = np.exp(lw_a - fa)
-    grad_a = pa @ ca
-    return fa, fb, grad_a
-
-
 def kl_exact(
     g: Graph,
     h: ConstraintGraph,
@@ -348,16 +330,18 @@ def kl_exact(
     if a.shape != (h.q - 1,) or b.shape != (h.q - 1,):
         raise ParameterError("activity vectors must have length q-1")
     if method == "brute_force":
-        fa, fb, grad_a = _partition_stats(g, h, a, b, state_cap)
-        kl = fb - fa - float((b - a) @ grad_a)
+        parts = [g]
     elif method == "component_factorized":
-        kl = 0.0
-        for comp in connected_components(g):
-            sub = induced_subgraph(g, comp)
-            fa, fb, grad_a = _partition_stats(sub, h, a, b, state_cap)
-            kl += fb - fa - float((b - a) @ grad_a)
+        parts = [induced_subgraph(g, comp) for comp in connected_components(g)]
     else:
         raise ParameterError(f"unknown KL method '{method}'")
+    a_full, b_full = np.concatenate([[0.0], a]), np.concatenate([[0.0], b])
+    kl = 0.0
+    for part in parts:
+        counts = _color_counts(_enumerate_states(part, h, state_cap), h.q)
+        fa, pa = _log_partition(counts, a_full)
+        fb, _ = _log_partition(counts, b_full)
+        kl += fb - fa - float((b_full - a_full) @ (pa @ counts))
     return KLResult(
         n_parameter=g.n,
         theta=tuple(float(x) for x in a),

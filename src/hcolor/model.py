@@ -226,22 +226,33 @@ def allowed_colors(u: int, cfg, g: Graph, h: ConstraintGraph) -> tuple[int, ...]
     Equivalently: the colors whose constraint-graph neighborhood contains all
     colors currently on the neighbors of u.
     """
-    colors = _as_colors(cfg, g.n, h.q)
-    ok = np.ones(h.q, dtype=bool)
-    for v in g.adjacency[u]:
-        ok &= h.allow_matrix[:, colors[v]]
-    return tuple(int(s) for s in np.flatnonzero(ok))
+    return tuple(int(s) for s in np.flatnonzero(allowed_matrix(cfg, g, h)[u]))
 
 
 def allowed_matrix(cfg, g: Graph, h: ConstraintGraph) -> np.ndarray:
     """(n, q) boolean matrix: entry (u, s) says recoloring u to s stays valid."""
-    colors = _as_colors(cfg, g.n, h.q)
-    pad = g.padded_adjacency()
-    ext = np.append(colors, h.q)  # sentinel color for padded slots
-    allow_ext = np.ones((h.q, h.q + 1), dtype=bool)
-    allow_ext[:, : h.q] = h.allow_matrix
-    ncol = ext[pad]  # (n, dmax)
-    return allow_ext[:, ncol].all(axis=2).T
+    return _allowed_sets(_as_colors(cfg, g.n, h.q)[None, :], g, h)[0]
+
+
+def _allowed_sets(states: np.ndarray, g: Graph, h: ConstraintGraph) -> np.ndarray:
+    """(S, n, q) boolean array: entry (i, u, s) says recoloring vertex u of
+    row i to s keeps every edge at u allowed. Rows are not validated."""
+    tolerates = np.ones((h.q + 1, h.q), dtype=bool)  # row t: colors allowed next to color t
+    tolerates[: h.q] = h.allow_matrix
+    ext = np.pad(states, ((0, 0), (0, 1)), constant_values=h.q)  # sentinel for padded slots
+    ok = np.ones(states.shape + (h.q,), dtype=bool)
+    for nbrs in g.padded_adjacency().T:
+        ok &= tolerates[ext[:, nbrs]]
+    return ok
+
+
+def _conditional_law(allowed: np.ndarray, beta_full: np.ndarray) -> np.ndarray:
+    """Heat-bath law along the last axis: the softmax of ``beta_full`` over
+    each allowed set, shifted by its largest entry so large |beta| cannot
+    overflow."""
+    scores = np.where(allowed, beta_full, -np.inf)
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def unconstrained_counts(cfg, g: Graph, h: ConstraintGraph) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graphs import Graph
-from .model import ConstraintGraph, allowed_matrix, preset, require_valid
+from .model import ConstraintGraph, _conditional_law, allowed_matrix, preset, require_valid
 
 __all__ = [
     "PLState",
@@ -105,14 +105,6 @@ def _full_params(b, q: int) -> np.ndarray:
     return np.concatenate([[0.0], arr])
 
 
-def _theta(state: PLState, b_full: np.ndarray) -> np.ndarray:
-    """(n, q) allowed-color softmax probabilities per vertex, overflow-safe."""
-    scores = np.where(state.allowed, b_full[None, :], -np.inf)
-    m = scores.max(axis=1, keepdims=True)
-    w = np.exp(scores - m)
-    return w / w.sum(axis=1, keepdims=True)
-
-
 def log_pl(cfg, g: Graph, h: ConstraintGraph, b) -> float:
     """Normalized log pseudo-likelihood at activities b (length q-1)."""
     state = PLState.from_configuration(cfg, g, h)
@@ -134,7 +126,7 @@ def pl_gradient(cfg, g: Graph, h: ConstraintGraph, b) -> np.ndarray:
 
 def _derivatives(state: PLState, b_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and negated Hessian of the normalized log pseudo-likelihood."""
-    t = _theta(state, b_full)[:, 1:]
+    t = _conditional_law(state.allowed, b_full)[:, 1:]
     grad = state.counts[1:] / state.n - t.mean(axis=0)
     neg_hess = (np.diag(t.sum(axis=0)) - t.T @ t) / state.n
     return grad, neg_hess
@@ -181,9 +173,11 @@ class EstimateReport:
     flag is set, because the maximizer lies at that infinity (for instance
     "-inf" when the color never occurs, "+inf" when it has no recolorable
     slack). ``converged`` is False when the fitter stopped before
-    meeting its gradient tolerance. ``rainbow_fractions[r-1]`` is the fraction
-    of vertices where color r is allowed, the quantity controlling curvature
-    of the fit.
+    meeting its gradient tolerance. ``min_eigenvalue_neg_hessian_at_fit`` and
+    ``rank_deficient`` describe the negated Hessian of the unflagged
+    coordinates (None and False when every coordinate is flagged).
+    ``rainbow_fractions[r-1]`` is the fraction of vertices where color r is
+    allowed, the quantity controlling curvature of the fit.
     """
 
     beta_hat: np.ndarray
@@ -393,7 +387,9 @@ def mpl_fit(
         grad, neg_hess = _derivatives(state, np.concatenate([[0.0], b]))
         grad_norm = float(np.abs(grad[free]).max()) if free.any() else 0.0
 
-    lam = max(float(symmetric_eigenvalues(neg_hess)[0]), 0.0)
+    # curvature of the free coordinates only: frozen ones sit on a flat limit
+    free_block = neg_hess[np.ix_(free, free)]
+    lam = max(float(symmetric_eigenvalues(free_block)[0]), 0.0) if free.any() else None
     beta_hat = b.copy()
     for r, flag in enumerate(flags):
         if flag == DEGENERATE_NEG:
@@ -408,5 +404,5 @@ def mpl_fit(
         min_eigenvalue_neg_hessian_at_fit=lam,
         degenerate=tuple(flags),
         rainbow_fractions=state.unconstrained()[1:] / state.n,
-        rank_deficient=lam <= 1e-12,
+        rank_deficient=lam is not None and lam <= 1e-12,
     )

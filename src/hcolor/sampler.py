@@ -14,12 +14,16 @@ chain, are not irreducible (e.g. the six proper 3-colorings of a triangle are
 all frozen). Use :func:`is_glauber_irreducible` to check enumerable instances
 before trusting distributional output; larger instances inherit whatever
 sector the initial configuration lies in.
+
+The exact oracles share one (S, n) array of all valid configurations in
+lexicographic order, built level by level (:func:`enumerate_exact`), and one
+list of the single-site moves between its rows. :func:`find_valid_configuration`
+stays a backtracking search: it needs one solution, also where no such array fits.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,7 @@ from .errors import (
     ParameterError,
 )
 from .graphs import Graph
-from .model import ConstraintGraph, Model, allowed_matrix, require_valid
+from .model import ConstraintGraph, Model, _allowed_sets, _conditional_law, require_valid
 
 __all__ = [
     "conditional_distribution",
@@ -76,12 +80,8 @@ def conditional_distribution(u: int, cfg, model: Model) -> np.ndarray:
     with a shifted softmax so large |beta| cannot overflow.
     """
     colors = require_valid(cfg, model.graph, model.h)
-    ok = np.ones(model.q, dtype=bool)
-    for v in model.graph.adjacency[u]:
-        ok &= model.h.allow_matrix[:, colors[v]]
-    shifted = model.beta_full - model.beta_full[ok].max()
-    w = np.where(ok, np.exp(shifted), 0.0)
-    return w / w.sum()
+    allowed = _allowed_sets(colors[None, :], model.graph, model.h)[0, u]
+    return _conditional_law(allowed, model.beta_full)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,11 @@ def sample_many(
 class ExactSummary:
     """Exact finite-model summary from full enumeration.
 
-    ``state_probabilities`` maps each valid configuration (as a tuple) to its
-    probability; ``expected_counts[r]`` and ``expected_unconstrained[r]`` are
+    ``states`` is the (S, n) array of all valid configurations in
+    lexicographic order (in the smallest unsigned dtype that holds q) and
+    ``probabilities`` their probabilities;
+    ``state_probabilities`` maps each configuration (as a tuple) to its
+    probability. ``expected_counts[r]`` and ``expected_unconstrained[r]`` are
     the exact means of the color counts and the allowed-at counts.
     """
 
@@ -345,70 +348,96 @@ class ExactSummary:
     state_probabilities: dict[tuple[int, ...], float]
     expected_counts: np.ndarray
     expected_unconstrained: np.ndarray
+    states: np.ndarray
+    probabilities: np.ndarray
 
 
-def _enumerate_states(g: Graph, h: ConstraintGraph, cap: int) -> list[np.ndarray]:
-    n, q = g.n, h.q
-    back_nbrs = [tuple(v for v in g.adjacency[u] if v < u) for u in range(n)]
-    allow = h.allow_matrix
-    colors = np.zeros(n, dtype=np.int64)
-    out: list[np.ndarray] = []
+def _enumerate_states(g: Graph, h: ConstraintGraph, cap: int) -> np.ndarray:
+    """(S, n) array of all valid configurations in lexicographic order.
+
+    Level u extends every valid partial coloring of vertices 0..u-1 by each
+    of the q colors and keeps the extensions that agree with u's lower
+    neighbors. ``cap`` bounds the extensions tried, q times the number of
+    partial colorings at depths 0..n-1, and is checked before each level.
+    """
+    q, allow = h.q, h.allow_matrix
+    states = np.zeros((1, 0), dtype=np.min_scalar_type(q))
     expansions = 0
-    depth = 0
-    nxt = np.zeros(n + 1, dtype=np.int64)
-    while depth >= 0:
-        if depth == n:
-            out.append(colors.copy())
-            depth -= 1
-            continue
-        placed = False
-        while nxt[depth] < q:
-            s = nxt[depth]
-            nxt[depth] += 1
-            expansions += 1
-            if expansions > cap:
-                raise EnumerationCapError(
-                    f"enumeration exceeded the cap of {cap} node expansions"
-                )
-            if all(allow[s, colors[v]] for v in back_nbrs[depth]):
-                colors[depth] = s
-                depth += 1
-                nxt[depth] = 0
-                placed = True
-                break
-        if not placed:
-            depth -= 1
-    return out
+    for u in range(g.n):
+        expansions += q * states.shape[0]
+        if expansions > cap:
+            raise EnumerationCapError(f"enumeration exceeded the cap of {cap} node expansions")
+        ok = np.ones((states.shape[0], q), dtype=bool)
+        for v in g.adjacency[u]:
+            if v < u:
+                ok &= allow[states[:, v]]
+        parent, color = np.nonzero(ok)  # row-major, so children stay in lexicographic order
+        states = np.column_stack([states[parent], color.astype(states.dtype)])
+    if not states.shape[0]:
+        raise InfeasibleModelError("no valid configuration exists")
+    return states
+
+
+def _color_counts(states: np.ndarray, q: int) -> np.ndarray:
+    """(S, q) number of vertices of each color in each row."""
+    return np.stack([np.count_nonzero(states == r, axis=1) for r in range(q)], axis=1)
+
+
+def _log_partition(counts: np.ndarray, beta_full: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-partition function and state probabilities for log-weights
+    ``counts @ beta_full``, by a shifted log-sum-exp."""
+    log_w = counts @ beta_full
+    m = log_w.max()
+    z = np.exp(log_w - m)
+    return float(m + np.log(z.sum())), z / z.sum()
 
 
 def enumerate_exact(model: Model, state_cap: int = DEFAULT_STATE_CAP) -> ExactSummary:
-    """Exact law of the model by pruned backtracking over partial colorings.
+    """Exact law of the model by level-by-level enumeration of valid partial
+    colorings, vertex by vertex in index order.
 
-    ``state_cap`` bounds node expansions, not raw q**n, so structured graphs
-    far beyond brute force (e.g. a clique forcing the rest) still enumerate.
+    ``state_cap`` bounds node expansions (q per partial coloring), not raw
+    q**n, so structured graphs far beyond brute force (e.g. a clique forcing
+    the rest) still enumerate. Raises :class:`EnumerationCapError` past the
+    cap and :class:`InfeasibleModelError` when no valid configuration exists.
     """
     states = _enumerate_states(model.graph, model.h, state_cap)
-    if not states:
-        raise InfeasibleModelError("no valid configuration exists")
-    log_w = np.array([model.beta_full[s].sum() for s in states])
-    m = log_w.max()
-    z = np.exp(log_w - m)
-    log_partition = float(m + np.log(z.sum()))
-    probs = z / z.sum()
-    q = model.q
-    counts = np.zeros(q)
-    uncon = np.zeros(q)
-    table: dict[tuple[int, ...], float] = {}
-    for st, p in zip(states, probs):
-        table[tuple(int(c) for c in st)] = float(p)
-        counts += p * np.bincount(st, minlength=q)
-        uncon += p * allowed_matrix(st, model.graph, model.h).sum(axis=0)
-    return ExactSummary(log_partition, table, counts, uncon)
+    counts = _color_counts(states, model.q)
+    log_partition, probs = _log_partition(counts, model.beta_full)
+    allowed_counts = _allowed_sets(states, model.graph, model.h).sum(axis=1)
+    table = dict(zip(map(tuple, states.tolist()), probs.tolist()))
+    return ExactSummary(
+        log_partition, table, probs @ counts, probs @ allowed_counts, states, probs
+    )
 
 
 # ---------------------------------------------------------------------------
 # Diagnostics against the exact law
 # ---------------------------------------------------------------------------
+
+
+def _lookup(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row of ``rows`` in ``states``, which must hold it and be
+    in lexicographic order: rows are compared as big-endian byte strings."""
+
+    def keys(a):
+        a = np.ascontiguousarray(a, dtype=states.dtype.newbyteorder(">"))
+        return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+
+    return np.searchsorted(keys(states), keys(rows))
+
+
+def _single_site_moves(states: np.ndarray, allowed: np.ndarray):
+    """Every single-site move between enumerated states, as index arrays
+    (i, u, c, j): recoloring vertex u of state i to the allowed color c,
+    other than its own, gives state j."""
+    S, n = states.shape
+    other = allowed.copy()
+    other[np.arange(S)[:, None], np.arange(n), states] = False
+    i, u, c = np.nonzero(other)
+    rows = states[i]
+    rows[np.arange(i.size), u] = c
+    return i, u, c, _lookup(states, rows)
 
 
 def tv_distance_empirical(
@@ -419,63 +448,36 @@ def tv_distance_empirical(
     summary = enumerate_exact(model)
     start = find_valid_configuration(model.graph, model.h, seed=seed)
     draws = sample_many(model, replicates, burn_in_sweeps=sweeps, seed=seed, start=start)
-    freq = Counter(tuple(int(c) for c in row) for row in draws)
-    tv = 0.0
-    for state, p in summary.state_probabilities.items():
-        tv += abs(freq.get(state, 0) / replicates - p)
-    return 0.5 * tv
+    hits = np.bincount(_lookup(summary.states, draws), minlength=summary.states.shape[0])
+    return 0.5 * float(np.abs(hits / replicates - summary.probabilities).sum())
 
 
 def is_glauber_irreducible(model: Model, summary: ExactSummary | None = None) -> bool:
     """Check by explicit reachability that single-site moves connect the
-    enumerated state space."""
+    enumerated state space, searching breadth-first from the first state."""
     if summary is None:
         summary = enumerate_exact(model)
-    states = list(summary.state_probabilities)
-    index = {s: i for i, s in enumerate(states)}
-    allow = model.h.allow_matrix
-    adjacency = model.graph.adjacency
-    seen = {0}
-    stack = [0]
-    while stack:
-        s_idx = stack.pop()
-        state = states[s_idx]
-        for u in range(model.n):
-            ok = np.ones(model.q, dtype=bool)
-            for v in adjacency[u]:
-                ok &= allow[:, state[v]]
-            for color in np.flatnonzero(ok):
-                if color == state[u]:
-                    continue
-                nxt = index[state[:u] + (int(color),) + state[u + 1 :]]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return len(seen) == len(states)
+    states = summary.states
+    i, _, _, j = _single_site_moves(states, _allowed_sets(states, model.graph, model.h))
+    seen = np.arange(states.shape[0]) == 0
+    reached = 0
+    while seen.sum() > reached:  # one breadth-first level per pass
+        reached = seen.sum()
+        seen[j[seen[i]]] = True
+    return bool(seen.all())
 
 
 def max_detailed_balance_violation(
     model: Model, summary: ExactSummary | None = None
 ) -> float:
     """Max |P(s) K(s->t) - P(t) K(t->s)| over single-site transition pairs,
-    with K assembled from the conditional distributions."""
+    where K picks a vertex uniformly and redraws it from its conditional law."""
     if summary is None:
         summary = enumerate_exact(model)
-    states = list(summary.state_probabilities)
-    probs = summary.state_probabilities
-    n = model.n
-    worst = 0.0
-    for state in states:
-        p_s = probs[state]
-        arr = np.asarray(state, dtype=np.int64)
-        for u in range(n):
-            dist = conditional_distribution(u, arr, model)
-            for color, pr in enumerate(dist):
-                if pr == 0.0 or color == state[u]:
-                    continue
-                other = state[:u] + (color,) + state[u + 1 :]
-                # conditional at u is shared by both endpoints of the move
-                flow = p_s * pr / n
-                back = probs[other] * dist[state[u]] / n
-                worst = max(worst, abs(flow - back))
-    return worst
+    states, p = summary.states, summary.probabilities
+    allowed = _allowed_sets(states, model.graph, model.h)
+    law = _conditional_law(allowed, model.beta_full)  # (S, n, q)
+    i, u, c, j = _single_site_moves(states, allowed)
+    flow = p[i] * law[i, u, c]
+    back = p[j] * law[j, u, states[i, u]]
+    return float(np.abs(flow - back).max(initial=0.0)) / model.n

@@ -188,6 +188,49 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_preset_color_count_exit_code(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 4}', "--out", str(g))
+    out = tmp_path / "s.json"
+    code = run_cli(
+        "sample", "--graph", str(g), "--h", "proper_coloring:x", "--beta", "0,0", "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
+def _kl_settings(tmp_path, graph: dict, h: str) -> str:
+    settings = tmp_path / "settings.json"
+    settings.write_text(
+        json.dumps({"experiment": "kl", "graph": graph, "h": h, "beta_a": [0.0], "beta_b": [0.5]})
+    )
+    return str(settings)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_experiment_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    settings = _kl_settings(tmp_path, {"kind": "path", "params": {"n": 3}}, "hardcore")
+    out = tmp_path / "kl.json"
+    code = run_cli("experiment", "--settings", settings, "--jobs", jobs, "--out", str(out))
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
+def test_experiment_kl_infeasible_exit_code(tmp_path, capsys):
+    # no proper 2-coloring of a triangle exists
+    settings = _kl_settings(tmp_path, {"kind": "complete", "params": {"n": 3}}, "proper_coloring:2")
+    out = tmp_path / "kl.json"
+    code = run_cli("experiment", "--settings", settings, "--out", str(out))
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "InfeasibleModelError"
+    assert not out.exists()
+
+
 def test_experiment_consistency_csv(tmp_path):
     settings = tmp_path / "settings.json"
     settings.write_text(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hcolor.errors import ParameterError
+from hcolor.errors import FullyLooseConstraintError, InfeasibleModelError, ParameterError
 from hcolor.experiments import (
     GraphFamily,
     ModelFamily,
@@ -17,7 +17,7 @@ from hcolor.experiments import (
     rows_to_csv,
 )
 from hcolor.graphs import Graph, generate
-from hcolor.model import Model, preset
+from hcolor.model import ConstraintGraph, Model, preset
 from hcolor.pseudolikelihood import pl_gradient
 from hcolor.sampler import enumerate_exact
 
@@ -60,6 +60,26 @@ def test_kl_rejects_bad_method_and_shapes():
         kl_exact(g, HARD, [0.0], [0.0], method="guess")
     with pytest.raises(ParameterError):
         kl_exact(g, HARD, [0.0, 1.0], [0.0])
+
+
+def test_kl_infeasible_model_raises_infeasible():
+    # no proper 2-coloring of a triangle exists, whole or as a component
+    g = generate("complete", {"n": 3})
+    for method in ("brute_force", "component_factorized"):
+        with pytest.raises(InfeasibleModelError):
+            kl_exact(g, preset("proper_coloring", q=2), [0.0], [0.5], method=method)
+
+
+def test_kl_accepts_constraint_graphs_a_model_rejects():
+    # a fully loose constraint graph makes the vertices independent, so the
+    # divergence is n times a Bernoulli divergence
+    loose = ConstraintGraph(2, [(0, 0), (0, 1), (1, 1)])
+    with pytest.raises(FullyLooseConstraintError):
+        Model(generate("path", {"n": 4}), loose, [0.3])
+    pa, pb = 1 / (1 + math.exp(-0.3)), 1 / (1 + math.exp(0.7))
+    bern = pa * math.log(pa / pb) + (1 - pa) * math.log((1 - pa) / (1 - pb))
+    res = kl_exact(generate("path", {"n": 4}), loose, [0.3], [-0.7])
+    assert res.kl == pytest.approx(4 * bern, rel=1e-12)
 
 
 def test_triangle_component_never_uses_pinned_color():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -260,6 +261,35 @@ def test_mpl_fit_alternating_two_coloring_is_doubly_degenerate():
     rep = mpl_fit([0, 1, 0, 1, 0, 1], g, COL3, tol=1e-10)
     assert rep.degenerate == (DEGENERATE_POS, DEGENERATE_NEG)
     assert rep.beta_hat[0] == np.inf and rep.beta_hat[1] == -np.inf
+    # nothing is left free, so there is no curvature to report
+    assert rep.min_eigenvalue_neg_hessian_at_fit is None
+    assert not rep.rank_deficient
+    assert json.loads(report_to_json(rep))["lambda_min"] is None
+
+
+def test_mpl_fit_curvature_excludes_flagged_coordinates():
+    # species 2 never occurs, so b2 is flagged; b1 is well determined and its
+    # 1x1 block has positive curvature, which the frozen b2 must not mask
+    g = generate("cycle", {"n": 12})
+    wr = preset("widom_rowlinson")
+    cfg = [0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1]
+    rep = mpl_fit(cfg, g, wr, tol=1e-12)
+    assert rep.degenerate == (DEGENERATE_NONE, DEGENERATE_NEG)
+    free_block = -pl_hessian(cfg, g, wr, [rep.beta_hat[0], -40.0])[0, 0]
+    assert rep.min_eigenvalue_neg_hessian_at_fit == pytest.approx(free_block, rel=1e-9)
+    assert rep.min_eigenvalue_neg_hessian_at_fit == pytest.approx(35 / 144, rel=1e-6)
+    assert not rep.rank_deficient
+
+
+def test_mpl_fit_undetermined_free_coordinate_stays_rank_deficient():
+    # b1 is free but no informative vertex can take color 1 or swap it away:
+    # the free block is zero and b1 is just init
+    g = generate("path", {"n": 5})
+    rep = mpl_fit([1, 0, 2, 3, 2], g, preset("counterexample_h"))
+    assert rep.degenerate == (DEGENERATE_NONE, DEGENERATE_NEG, DEGENERATE_POS)
+    assert rep.beta_hat[0] == 0.0
+    assert rep.min_eigenvalue_neg_hessian_at_fit == 0.0
+    assert rep.rank_deficient
 
 
 def test_mpl_fit_root_verified_by_bisection():

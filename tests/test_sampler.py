@@ -1,6 +1,8 @@
 """Heat-bath dynamics, feasibility search, exact enumeration, and diagnostics."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -13,7 +15,7 @@ from hcolor.errors import (
     InfeasibleModelError,
     InvalidConfigurationError,
 )
-from hcolor.graphs import generate
+from hcolor.graphs import generate, induced_subgraph
 from hcolor.model import ConstraintGraph, Model, is_valid, preset
 from hcolor.sampler import (
     Chain,
@@ -377,3 +379,131 @@ def test_sample_many_beta_rows_match_single_runs_in_law():
     e2 = enumerate_exact(Model(g, HARD, [-1.0])).expected_counts[1]
     assert first == pytest.approx(e1, abs=0.05)
     assert second == pytest.approx(e2, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# The array-backed exact layer against itertools brute force
+# ---------------------------------------------------------------------------
+
+# (graph, constraint graph) pairs with q**n <= 6561, covering every preset
+BRUTE_FORCE_CASES = [
+    (generate("path", {"n": 8}), HARD),
+    (generate("grid", {"rows": 2, "cols": 4}), HARD),
+    (generate("cycle", {"n": 8}), preset("widom_rowlinson")),
+    (generate("star", {"leaves": 5}), preset("widom_rowlinson")),
+    (generate("erdos_renyi", {"n": 7, "c": 2.0}, seed=3), preset("multistate_hardcore", q=2)),
+    (generate("path", {"n": 6}), preset("multistate_hardcore", q=3)),
+    (generate("cycle", {"n": 8}), COL3),
+    (generate("complete", {"n": 4}), preset("proper_coloring", q=4)),
+    (generate("cycle", {"n": 6}), preset("proper_coloring", q=4)),
+    (generate("cycle", {"n": 5}), preset("proper_coloring", q=5)),
+    (generate("erdos_renyi", {"n": 6, "c": 2.5}, seed=1), preset("counterexample_h")),
+    (generate("path", {"n": 6}), preset("counterexample_h")),
+]
+
+
+def _brute_force(model):
+    """Valid states in lexicographic order, their probabilities, and the
+    heat-bath kernel as {(state, vertex): {color: probability}}."""
+    g, h = model.graph, model.h
+    states = [s for s in itertools.product(range(h.q), repeat=g.n) if is_valid(s, g, h)]
+    weights = np.array([math.exp(sum(model.beta_full[c] for c in s)) for s in states])
+    kernel = {}
+    for s in states:
+        for u in range(g.n):
+            ok = [c for c in range(h.q) if is_valid(s[:u] + (c,) + s[u + 1 :], g, h)]
+            total = sum(math.exp(model.beta_full[c]) for c in ok)
+            kernel[s, u] = {c: math.exp(model.beta_full[c]) / total for c in ok}
+    return states, weights / weights.sum(), kernel
+
+
+def _brute_violation(states, probs, kernel, n):
+    p = dict(zip(states, probs))
+    worst = 0.0
+    for (s, u), law in kernel.items():
+        for c, k in law.items():
+            t = s[:u] + (c,) + s[u + 1 :]
+            worst = max(worst, abs(p[s] * k - p[t] * kernel[t, u][s[u]]) / n)
+    return worst
+
+
+def _brute_irreducible(states, kernel):
+    seen, stack = {states[0]}, [states[0]]
+    while stack:
+        s = stack.pop()
+        for u in range(len(s)):
+            for c in kernel[s, u]:
+                t = s[:u] + (c,) + s[u + 1 :]
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return len(seen) == len(states)
+
+
+@pytest.mark.parametrize("case", range(len(BRUTE_FORCE_CASES)))
+def test_exact_layer_matches_brute_force(case):
+    g, h = BRUTE_FORCE_CASES[case]
+    model = Model(g, h, np.random.default_rng(case).uniform(-1, 1, h.q - 1))
+    states, probs, kernel = _brute_force(model)
+    summary = enumerate_exact(model)
+    assert [tuple(s) for s in summary.states.tolist()] == states
+    assert list(summary.state_probabilities) == states
+    np.testing.assert_allclose(summary.probabilities, probs, rtol=1e-12)
+    assert summary.log_partition == pytest.approx(
+        math.log(sum(math.exp(sum(model.beta_full[c] for c in s)) for s in states)), rel=1e-12
+    )
+    counts = np.array([np.bincount(s, minlength=h.q) for s in states])
+    np.testing.assert_allclose(summary.expected_counts, probs @ counts, rtol=1e-12, atol=1e-12)
+    uncon = np.array(
+        [[sum(c in kernel[s, u] for u in range(g.n)) for c in range(h.q)] for s in states]
+    )
+    np.testing.assert_allclose(summary.expected_unconstrained, probs @ uncon, rtol=1e-12, atol=1e-12)
+
+    irreducible = is_glauber_irreducible(model, summary)
+    assert type(irreducible) is bool
+    assert irreducible == _brute_irreducible(states, kernel)
+    assert max_detailed_balance_violation(model, summary) <= 1e-15
+    # a law that is not the stationary one: both checks see the same violation
+    skewed = probs * np.exp(np.random.default_rng(case).uniform(-0.5, 0.5, len(states)))
+    wrong = dataclasses.replace(summary, probabilities=skewed / skewed.sum())
+    expected = _brute_violation(states, wrong.probabilities, kernel, g.n)
+    assert max_detailed_balance_violation(model, wrong) == pytest.approx(expected, rel=1e-12)
+
+
+def _expansion_count(g, h) -> int:
+    """q times the number of valid partial colorings of vertices 0..d-1, d < n."""
+    total = 0
+    for depth in range(g.n):
+        sub = induced_subgraph(g, range(depth)) if depth else None
+        partial = sum(
+            1 for s in itertools.product(range(h.q), repeat=depth) if sub is None or is_valid(s, sub, h)
+        )
+        total += h.q * partial
+    return total
+
+
+def test_enumerate_cap_boundary_is_the_expansion_count():
+    for g, h in [
+        (generate("grid", {"rows": 3, "cols": 3}), COL3),
+        (generate("cycle", {"n": 6}), preset("counterexample_h")),
+        (generate("path", {"n": 7}), HARD),
+    ]:
+        model = Model(g, h, [0.0] * (h.q - 1))
+        count = _expansion_count(g, h)
+        assert len(enumerate_exact(model, state_cap=count).state_probabilities) > 0
+        with pytest.raises(EnumerationCapError):
+            enumerate_exact(model, state_cap=count - 1)
+
+
+def test_exact_checks_where_q_to_the_n_overflows_int64():
+    # 2**70 colorings, two valid ones, and no single-site move between them
+    model = Model(generate("path", {"n": 70}), preset("proper_coloring", q=2), [0.3])
+    summary = enumerate_exact(model)
+    assert [s[:3] for s in summary.state_probabilities] == [(0, 1, 0), (1, 0, 1)]
+    assert max_detailed_balance_violation(model, summary) == 0.0
+    assert is_glauber_irreducible(model, summary) is False
+
+
+def test_enumerate_infeasible_model():
+    with pytest.raises(InfeasibleModelError):
+        enumerate_exact(Model(TRIANGLE, preset("proper_coloring", q=2), [0.0]))
