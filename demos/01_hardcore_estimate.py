@@ -31,5 +31,5 @@ print(f"curvature at fit: {closed.min_eigenvalue_neg_hessian_at_fit:.4f}")
 
 # the estimate is the log-ratio of occupied vertices to recolorable holes
 c = occupied
-u = sum(1 for v in range(graph.n) if cfg[v] == 0 and all(cfg[w] == 0 for w in graph.adjacency[v]))
+u = sum(1 for v in range(graph.n) if cfg[v] == 0 and all(cfg[w] == 0 for w in graph.neighbors(v)))
 print(f"log({c}/{u}) = {np.log(c / u):+.6f}  (same number, by hand)")

@@ -32,8 +32,9 @@ for kind, params in [
     # verify the defining property directly
     seen = set()
     for v in subset:
-        assert not (set(g.adjacency[v]) & seen)
-        seen |= set(g.adjacency[v])
+        nb = set(g.neighbors(v).tolist())
+        assert not (nb & seen)
+        seen |= nb
 
     print(
         f"{kind:>14} n={g.n:3d} avg 2-neighborhood={float(stats.avg_two_neighborhood):5.2f} "

@@ -232,6 +232,8 @@ def _cmd_experiment(args) -> int:
         raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.settings) as fh:
         settings = json.load(fh)
+    if not isinstance(settings, dict):
+        raise ParameterError("an experiment settings file must hold a JSON object")
     kind = settings.get("experiment")
     config = {"settings": args.settings, "resolved": settings, "seed": args.seed,
               "jobs": args.jobs, "out": args.out}

@@ -206,6 +206,8 @@ def consistency_experiment(
     ``return_samples=True`` also returns {(n, beta_index): (replicates, n)
     sample array} for downstream diagnostics.
     """
+    if replicates < 0:
+        raise ParameterError(f"replicates must be non-negative, got {replicates}")
     beta_list = _as_beta_list(beta_true)
     hardcore = is_hardcore(h)
     rows: list[ConsistencyRow] = []
@@ -289,6 +291,8 @@ def gradient_concentration(
     bounded-average-degree families, so the reported values should stay
     bounded as n grows.
     """
+    if replicates < 0:
+        raise ParameterError(f"replicates must be non-negative, got {replicates}")
     fam = model_family
     beta = np.asarray(fam.beta, dtype=np.float64)
     out: dict[int, float] = {}

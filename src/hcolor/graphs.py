@@ -1,8 +1,9 @@
 """Interaction graphs: representation, statistics, generators, and file I/O.
 
-Graphs are simple and undirected, with vertices labeled ``0 .. n-1``. The
-generators cover the standard sparse families (paths, cycles, grids, random
-regular, sparse Erdos-Renyi) plus the two special families used by the
+Graphs are simple and undirected on vertices ``0 .. n-1``, stored as
+compressed sparse row (CSR) arrays and built only by ``Graph(n, edges)``. The
+generators cover the standard sparse families (paths, cycles, grids,
+random regular, sparse Erdos-Renyi) plus the two special families used by the
 impossibility experiments: disjoint triangles glued to a short path, and a
 small clique joined completely to a large independent part.
 """
@@ -36,92 +37,109 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (indptr, indices) of the distinct pair keys ``u * n + v``;
+    repeats drop by sort and adjacent compare (``np.unique`` hashes, slower)."""
+    keys = np.sort(keys)
+    rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
+
+
+def _segments(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The CSR rows as Python tuples, for loops that visit one row at a time.
+
+    Tuples, not lists: the garbage collector stops tracking tuples of ints,
+    so one per vertex does not trigger repeated full collections."""
+    flat, bounds = tuple(indices.tolist()), indptr.tolist()
+    return tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def _rows(indptr: np.ndarray) -> np.ndarray:
+    """The row (source vertex) of each CSR entry."""
+    return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _two_hop_csr(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row v merges the neighbors of v with the ends x != v of all walks v - w - x."""
+    n = indptr.shape[0] - 1
+    rows = _rows(indptr)
+    hops = np.diff(indptr)[indices]  # walks continuing through each CSR entry
+    starts = np.repeat(indptr[indices] - (np.cumsum(hops) - hops), hops)
+    far = indices[starts + np.arange(starts.shape[0])]
+    near = np.repeat(rows, hops)
+    away = far != near
+    return _csr(n, np.concatenate([rows * n + indices, near[away] * n + far[away]]))
+
+
 class Graph:
-    """Simple undirected graph given by per-vertex sorted neighbor tuples.
+    """Simple undirected graph on vertices ``0 .. n-1`` in CSR form.
+
+    ``Graph(n, edges)`` takes (u, v) pairs, as a sequence or an (m, 2) array,
+    in any order and orientation; repeats merge, and symmetry holds by
+    construction. ``n < 1``, a pair out of range or a self-loop raise
+    :class:`ParameterError`. Derived structures are cached and read-only.
 
     Attributes
     ----------
     n : int
         Number of vertices (>= 1).
-    adjacency : tuple[tuple[int, ...], ...]
-        ``adjacency[u]`` lists the neighbors of ``u`` in increasing order.
-        The relation is symmetric, loop-free and duplicate-free; violations
-        raise :class:`ParameterError` at construction.
+    indptr, indices : np.ndarray
+        Read-only int64 CSR arrays: the neighbors of ``u`` are
+        ``indices[indptr[u]:indptr[u + 1]]``, in increasing order.
     """
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]] | np.ndarray = ()) -> None:
+        if n < 1:
+            raise ParameterError(f"graph needs at least one vertex, got n={n}")
+        pairs = np.asarray(edges, dtype=np.int64)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        if pairs.shape[1:] != (2,):
+            raise ParameterError("edges must be (u, v) pairs")
+        outside = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)]
+        if outside.size:
+            raise ParameterError(f"edge {tuple(outside[0].tolist())} out of range for n={n}")
+        u, v = pairs.T
+        loops = u[u == v]
+        if loops.size:
+            raise ParameterError(f"self-loop at vertex {loops[0]}")
+        self.n = int(n)
+        self.indptr, self.indices = _csr(self.n, np.concatenate([u * n + v, v * n + u]))
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"graph needs at least one vertex, got n={self.n}")
-        if len(self.adjacency) != self.n:
-            raise ParameterError("adjacency length does not match vertex count")
-        neighbor_sets = []
-        for u, nbrs in enumerate(self.adjacency):
-            seen = set(nbrs)
-            if len(seen) != len(nbrs):
-                raise ParameterError(f"duplicate neighbor entries at vertex {u}")
-            if u in seen:
-                raise ParameterError(f"self-loop at vertex {u}")
-            if nbrs and (min(nbrs) < 0 or max(nbrs) >= self.n):
-                raise ParameterError(f"neighbor index out of range at vertex {u}")
-            if tuple(sorted(nbrs)) != tuple(nbrs):
-                raise ParameterError(f"neighbors of vertex {u} are not sorted")
-            neighbor_sets.append(seen)
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u not in neighbor_sets[v]:
-                    raise ParameterError(f"asymmetric edge ({u}, {v})")
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list; pairs may come in any order."""
-        nbrs: list[set[int]] = [set() for _ in range(max(n, 0))]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ParameterError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
+    def neighbors(self, u: int) -> np.ndarray:
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+        eu, ev = self.edge_endpoints
+        return list(zip(eu.tolist(), ev.tolist()))
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return self.indices.shape[0] // 2
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
-    def padded_adjacency(self) -> np.ndarray:
-        """(n, max_degree) array of neighbor indices, padded with the sentinel n.
-
-        The sentinel row lets vectorized code treat every vertex as having the
-        same degree; callers pair it with a virtual always-compatible color.
-        Built once per graph and cached; the array is read-only.
-        """
-        return self._padded_adjacency
+        return int(self.degrees().max())
 
     @cached_property
-    def _padded_adjacency(self) -> np.ndarray:
-        dmax = self.max_degree()
-        pad = np.full((self.n, dmax), self.n, dtype=np.int64)
-        for u, nbrs in enumerate(self.adjacency):
-            pad[u, : len(nbrs)] = nbrs
+    def padded_adjacency(self) -> np.ndarray:
+        """(n, max(max_degree, 1)) array of neighbor indices, padded with the
+        sentinel n.
+
+        The sentinel lets vectorized code treat every vertex as having the
+        same degree, even on an edgeless graph; callers pair it with a virtual
+        always-compatible color. Built once per graph and cached; read-only.
+        """
+        pad = np.full((self.n, max(self.max_degree(), 1)), self.n, dtype=np.int64)
+        pad[np.arange(pad.shape[1]) < self.degrees()[:, None]] = self.indices
         pad.setflags(write=False)
         return pad
 
@@ -131,13 +149,30 @@ class Graph:
 
         Computed once per graph and cached; the arrays are read-only.
         """
-        pad = self.padded_adjacency()
-        u = np.broadcast_to(np.arange(self.n)[:, None], pad.shape)
-        keep = (u < pad) & (pad < self.n)
-        eu, ev = u[keep], pad[keep]
+        rows = _rows(self.indptr)
+        upper = rows < self.indices
+        eu, ev = rows[upper], self.indices[upper]
         eu.setflags(write=False)
         ev.setflags(write=False)
         return eu, ev
+
+    @cached_property
+    def lower_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """``lower_neighbors[u]`` holds the neighbors of u below u, ascending.
+
+        Plain Python tuples, built once per graph and cached, for the loops
+        that must visit vertices one at a time in index order.
+        """
+        rows = _rows(self.indptr)
+        below = self.indices < rows
+        counts = np.bincount(rows[below], minlength=self.n)
+        return _segments(np.concatenate([[0], np.cumsum(counts)]), self.indices[below])
+
+    @cached_property
+    def two_hop(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR (indptr, indices) of the vertices at distance exactly
+        1 or 2 from each vertex, ascending; built once per graph and cached."""
+        return _two_hop_csr(self.indptr, self.indices)
 
     @cached_property
     def color_classes(self) -> tuple[np.ndarray, ...]:
@@ -149,8 +184,8 @@ class Graph:
         arrays are read-only.
         """
         label = [0] * self.n
-        for u, nbrs in enumerate(self.adjacency):
-            used = {label[v] for v in nbrs if v < u}
+        for u, lower in enumerate(self.lower_neighbors):
+            used = {label[v] for v in lower}
             c = 0
             while c in used:
                 c += 1
@@ -185,39 +220,34 @@ class DegreeStats:
 def _path(n: int) -> Graph:
     if n < 1:
         raise ParameterError("path requires n >= 1")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError("cycle requires n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, np.column_stack([np.arange(n), (np.arange(n) + 1) % n]))
 
 
 def _grid(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1:
         raise ParameterError("grid requires rows >= 1 and cols >= 1")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                edges.append((u, u + 1))
-            if r + 1 < rows:
-                edges.append((u, u + cols))
-    return Graph.from_edges(rows * cols, edges)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    across = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
+    down = np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])
+    return Graph(rows * cols, np.concatenate([across, down]))
 
 
 def _complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError("complete requires n >= 1")
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def _star(leaves: int) -> Graph:
     if leaves < 0:
         raise ParameterError("star requires leaves >= 0")
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def _random_regular(n: int, d: int, rng: np.random.Generator, max_tries: int = 2000) -> Graph:
@@ -226,7 +256,7 @@ def _random_regular(n: int, d: int, rng: np.random.Generator, max_tries: int = 2
     if (n * d) % 2 != 0:
         raise ParameterError("random_regular requires n*d even")
     if d == 0:
-        return Graph(n, tuple(() for _ in range(n)))
+        return Graph(n)
     # Configuration model with whole-sample rejection keeps the graph uniform
     # over simple d-regular graphs.
     for _ in range(max_tries):
@@ -235,12 +265,9 @@ def _random_regular(n: int, d: int, rng: np.random.Generator, max_tries: int = 2
         pairs = stubs.reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = lo * n + hi
-        if len(np.unique(keys)) != len(keys):
-            continue
-        return Graph.from_edges(n, [(int(a), int(b)) for a, b in zip(lo, hi)])
+        g = Graph(n, pairs)
+        if g.edge_count() == pairs.shape[0]:  # no pair repeated
+            return g
     raise ParameterError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 
@@ -252,7 +279,7 @@ def _erdos_renyi(n: int, c: float, rng: np.random.Generator) -> Graph:
     p = min(c / n, 1.0)
     pairs = n * (n - 1) // 2
     if pairs == 0 or p == 0:
-        return Graph.from_edges(n, [])
+        return Graph(n)
     # Geometric edge skipping (Batagelj & Brandes 2005): the gaps between
     # successive present pairs, in the order (1,0), (2,0), (2,1), (3,0), ...,
     # are i.i.d. geometric, so the draw costs O(n + m) instead of O(n^2).
@@ -267,18 +294,15 @@ def _erdos_renyi(n: int, c: float, rng: np.random.Generator) -> Graph:
     v -= v * (v - 1) // 2 > index
     v += v * (v + 1) // 2 <= index
     w = index - v * (v - 1) // 2
-    return Graph.from_edges(n, zip(v.tolist(), w.tolist()))
+    return Graph(n, np.column_stack([v, w]))
 
 
 def _disjoint_union(graphs: Sequence[Graph]) -> Graph:
     if not graphs:
         raise ParameterError("disjoint_union requires at least one part")
-    offset = 0
-    edges: list[tuple[int, int]] = []
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph.from_edges(offset, edges)
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    edges = [np.column_stack(g.edge_endpoints) + off for g, off in zip(graphs, offsets)]
+    return Graph(int(offsets[-1]), np.concatenate(edges))
 
 
 def _triangles_plus_path(num_triangles: int, path_len: int) -> Graph:
@@ -291,7 +315,7 @@ def _triangles_plus_path(num_triangles: int, path_len: int) -> Graph:
         edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
     base = 3 * num_triangles
     edges += [(base + i, base + i + 1) for i in range(path_len - 1)]
-    return Graph.from_edges(base + path_len, edges)
+    return Graph(base + path_len, edges)
 
 
 def _clique_bipartite(q: int, big_side: int) -> Graph:
@@ -307,7 +331,7 @@ def _clique_bipartite(q: int, big_side: int) -> Graph:
     k = q - 1
     edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
     edges += [(u, k + j) for u in range(k) for j in range(big_side)]
-    return Graph.from_edges(k + big_side, edges)
+    return Graph(k + big_side, edges)
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> Graph:
@@ -349,8 +373,12 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
             return _triangles_plus_path(int(params["N"]), int(params["K"]))
         if kind == "clique_bipartite":
             return _clique_bipartite(int(params["q"]), int(params["N"]))
+    except ParameterError:
+        raise
     except KeyError as exc:
         raise ParameterError(f"missing parameter {exc} for graph kind '{kind}'") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"bad parameter for graph kind '{kind}': {exc}") from exc
     raise ParameterError(f"unknown graph kind '{kind}'")
 
 
@@ -361,30 +389,22 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
 
 def two_neighborhood_sets(g: Graph) -> list[set[int]]:
     """For each vertex v, the set of vertices at distance exactly 1 or 2."""
-    out = []
-    for v in range(g.n):
-        s: set[int] = set(g.adjacency[v])
-        for w in g.adjacency[v]:
-            s.update(g.adjacency[w])
-        s.discard(v)
-        out.append(s)
-    return out
+    return [set(row) for row in _segments(*g.two_hop)]
 
 
 def degree_stats(g: Graph) -> DegreeStats:
     """Exact average degree, average 2-neighborhood size, max degree, isolated count."""
-    degs = [g.degree(u) for u in range(g.n)]
-    d2 = [len(s) for s in two_neighborhood_sets(g)]
     return DegreeStats(
-        avg_degree=Fraction(sum(degs), g.n),
-        avg_two_neighborhood=Fraction(sum(d2), g.n),
-        max_degree=max(degs),
-        isolated_count=sum(1 for d in degs if d == 0),
+        avg_degree=Fraction(g.indices.shape[0], g.n),
+        avg_two_neighborhood=Fraction(g.two_hop[1].shape[0], g.n),
+        max_degree=g.max_degree(),
+        isolated_count=int(np.count_nonzero(g.degrees() == 0)),
     )
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, ordered by minimum vertex."""
+    adjacency = _segments(g.indptr, g.indices)
     seen = [False] * g.n
     comps = []
     for root in range(g.n):
@@ -395,7 +415,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         stack = [root]
         while stack:
             u = stack.pop()
-            for v in g.adjacency[u]:
+            for v in adjacency[u]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
@@ -406,19 +426,18 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph on the given vertices, relabeled 0..len(vertices)-1 in list order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (index[u], index[v])
-        for u in vertices
-        for v in g.adjacency[u]
-        if u < v and v in index
-    ]
-    return Graph.from_edges(len(vertices), edges)
+    index = np.full(g.n, -1, dtype=np.int64)
+    index[list(vertices)] = np.arange(len(vertices))
+    pairs = index[np.column_stack(g.edge_endpoints)]
+    return Graph(len(vertices), pairs[(pairs >= 0).all(axis=1)])
 
 
 # ---------------------------------------------------------------------------
 # Neighborhood-disjoint subsets
 # ---------------------------------------------------------------------------
+
+# random orderings tried by neighborhood_disjoint_subset before the backstop
+_MAX_PERMUTATIONS = 64
 
 
 def neighborhood_disjoint_size_bound(g: Graph) -> Fraction:
@@ -427,12 +446,12 @@ def neighborhood_disjoint_size_bound(g: Graph) -> Fraction:
     return Fraction(g.n) / (4 * (1 + avg2))
 
 
-def _greedy_disjoint(w: list[int], two_hop: list[set[int]], degs: list[int]) -> list[int]:
+def _greedy_disjoint(g: Graph, w: np.ndarray) -> list[int]:
     # Max-degree-last scan: low-degree vertices exclude fewer later candidates.
-    order = sorted(w, key=lambda v: (degs[v], v))
+    two_hop = _segments(*g.two_hop)
     chosen: list[int] = []
     blocked: set[int] = set()
-    for v in order:
+    for v in w[np.lexsort((w, g.degrees()[w]))].tolist():
         if v not in blocked:
             chosen.append(v)
             blocked.add(v)
@@ -440,58 +459,38 @@ def _greedy_disjoint(w: list[int], two_hop: list[set[int]], degs: list[int]) -> 
     return sorted(chosen)
 
 
-def neighborhood_disjoint_subset(
-    g: Graph,
-    w: Iterable[int],
-    seed: int = 0,
-    strategy: str = "random-permutation",
-    max_permutations: int = 64,
-) -> list[int]:
+def neighborhood_disjoint_subset(g: Graph, w: Iterable[int], seed: int = 0) -> list[int]:
     """Select A within w such that distinct members have disjoint neighborhoods.
 
-    Strategies
-    ----------
-    ``"random-permutation"``
-        Scan a uniformly random ordering of all vertices and keep a candidate
-        from ``w`` exactly when no vertex at distance 1 or 2 from it appears
-        earlier in the ordering. Up to ``max_permutations`` orderings are
-        tried, keeping the best; a deterministic greedy pass also runs and the
-        larger of the two sets is returned. Whenever ``|w| >= n/2`` the result
-        size reaches ``n / (4 (1 + avg 2-neighborhood))`` in practice (the
-        permutation scan achieves it in expectation; retries plus the greedy
-        backstop make it reliable).
-    ``"greedy"``
-        Deterministic max-degree-last scan only.
+    A random ordering of all vertices keeps each candidate from ``w`` that
+    precedes every vertex at distance 1 or 2 from it. The best of up to 64
+    orderings is compared with a deterministic max-degree-last greedy pass and
+    the larger set returned. For ``|w| >= n/2`` its size reaches
+    ``n / (4 (1 + avg 2-neighborhood))``: the ordering does in expectation,
+    and retries plus the greedy backstop make it reliable.
     """
-    wl = sorted(set(int(v) for v in w))
-    if wl and (wl[0] < 0 or wl[-1] >= g.n):
+    wl = np.array(sorted(set(int(v) for v in w)), dtype=np.int64)
+    if wl.size and (wl[0] < 0 or wl[-1] >= g.n):
         raise ParameterError("subset w contains vertices outside the graph")
-    if not wl:
+    if not wl.size:
         return []
-    two_hop = two_neighborhood_sets(g)
-    degs = [g.degree(u) for u in range(g.n)]
-    greedy = _greedy_disjoint(wl, two_hop, degs)
-    if strategy == "greedy":
-        return greedy
-    if strategy != "random-permutation":
-        raise ParameterError(f"unknown strategy '{strategy}'")
-
-    target = None
-    if 2 * len(wl) >= g.n:
-        target = neighborhood_disjoint_size_bound(g)
+    indptr, hop = g.two_hop
+    rows = _rows(indptr)
+    target = neighborhood_disjoint_size_bound(g) if 2 * wl.size >= g.n else math.inf
     rng = np.random.default_rng(seed)
-    best: list[int] = []
-    for _ in range(max_permutations):
-        pos = np.empty(g.n, dtype=np.int64)
+    best = wl[:0]
+    pos = np.empty(g.n, dtype=np.int64)
+    for _ in range(_MAX_PERMUTATIONS):
         pos[rng.permutation(g.n)] = np.arange(g.n)
-        kept = [v for v in wl if all(pos[x] > pos[v] for x in two_hop[v])]
-        if len(kept) > len(best):
+        preceded = np.zeros(g.n, dtype=bool)
+        preceded[rows[pos[hop] < pos[rows]]] = True
+        kept = wl[~preceded[wl]]
+        if kept.size > best.size:
             best = kept
-        if target is not None and len(best) >= target:
+        if best.size >= target:
             break
-    if len(greedy) > len(best):
-        best = greedy
-    return sorted(best)
+    greedy = _greedy_disjoint(g, wl)
+    return greedy if len(greedy) > best.size else best.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +500,7 @@ def neighborhood_disjoint_subset(
 
 def graph_to_json(g: Graph) -> str:
     """Serialize as {"n": ..., "edges": [[u, v], ...]} with u < v, sorted."""
-    payload = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    payload = {"n": g.n, "edges": np.column_stack(g.edge_endpoints).tolist()}
     return json.dumps(payload, sort_keys=True)
 
 
@@ -519,32 +518,28 @@ def graph_from_json(text: str) -> Graph:
     edges = payload["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [u, v] pairs')
-    seen = set()
-    cleaned = []
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
-            raise GraphFormatError(f"malformed edge entry {e!r}")
-        u, v = e
-        if u == v:
-            raise GraphFormatError(f"self-loop [{u}, {v}] rejected")
-        if u > v:
-            raise GraphFormatError(f"edge [{u}, {v}] must satisfy u < v")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge [{u}, {v}] out of range for n={n}")
-        if (u, v) in seen:
-            raise GraphFormatError(f"duplicate edge [{u}, {v}]")
-        seen.add((u, v))
-        cleaned.append((u, v))
     try:
-        return Graph.from_edges(n, cleaned)
+        pairs = np.array(edges if edges else np.zeros((0, 2), dtype=np.int64))
+        if pairs.dtype.kind != "i" or pairs.shape[1:] != (2,):
+            raise ValueError
+    except ValueError as exc:  # non-integer entries, ragged rows or other shapes
+        raise GraphFormatError('"edges" must be a list of [u, v] integer pairs') from exc
+    unordered = pairs[pairs[:, 0] >= pairs[:, 1]]
+    if unordered.size:
+        raise GraphFormatError(f"edge {unordered[0].tolist()} must satisfy u < v")
+    try:
+        g = Graph(n, pairs)
     except ParameterError as exc:
         raise GraphFormatError(str(exc)) from exc
+    if g.edge_count() != pairs.shape[0]:
+        raise GraphFormatError(f"{pairs.shape[0] - g.edge_count()} duplicate edge(s)")
+    return g
 
 
 def write_graph(path, g: Graph, meta: dict | None = None) -> None:
     """Write the graph file; an optional "meta" key carries provenance and is
     ignored by readers."""
-    payload = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    payload = {"n": g.n, "edges": np.column_stack(g.edge_endpoints).tolist()}
     if meta is not None:
         payload["meta"] = meta
     with open(path, "w") as fh:

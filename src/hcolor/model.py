@@ -241,7 +241,7 @@ def _allowed_sets(states: np.ndarray, g: Graph, h: ConstraintGraph) -> np.ndarra
     tolerates[: h.q] = h.allow_matrix
     ext = np.pad(states, ((0, 0), (0, 1)), constant_values=h.q)  # sentinel for padded slots
     ok = np.ones(states.shape + (h.q,), dtype=bool)
-    for nbrs in g.padded_adjacency().T:
+    for nbrs in g.padded_adjacency.T:
         ok &= tolerates[ext[:, nbrs]]
     return ok
 

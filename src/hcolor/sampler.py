@@ -111,7 +111,7 @@ def find_valid_configuration(
 
     rng = np.random.default_rng(seed)
     color_order = np.stack([rng.permutation(q) for _ in range(n)])
-    back_nbrs = [tuple(v for v in g.adjacency[u] if v < u) for u in range(n)]
+    back_nbrs = g.lower_neighbors
     colors = np.full(n, -1, dtype=np.int64)
     choice = np.zeros(n, dtype=np.int64)  # next color-order index to try per depth
     allow = h.allow_matrix
@@ -177,10 +177,7 @@ class _Engine:
         g, q = model.graph, model.q
         self.q = q
         self.dtype = np.min_scalar_type(q)
-        pad = g.padded_adjacency()
-        if pad.shape[1] == 0:  # edgeless: one sentinel neighbor keeps the shapes uniform
-            pad = np.full((g.n, 1), g.n, dtype=np.int64)
-        self.blocks = [(cls, pad[cls]) for cls in g.color_classes]
+        self.blocks = [(cls, g.padded_adjacency[cls]) for cls in g.color_classes]
         # bit s of nbr_bits[t]: color s tolerates neighbor color t; t = q is the sentinel
         tolerates = np.ones((q + 1, q), dtype=bool)
         tolerates[:q] = model.h.allow_matrix.T
@@ -360,7 +357,7 @@ def _enumerate_states(g: Graph, h: ConstraintGraph, cap: int) -> np.ndarray:
     neighbors. ``cap`` bounds the extensions tried, q times the number of
     partial colorings at depths 0..n-1, and is checked before each level.
     """
-    q, allow = h.q, h.allow_matrix
+    q, allow, lower = h.q, h.allow_matrix, g.lower_neighbors
     states = np.zeros((1, 0), dtype=np.min_scalar_type(q))
     expansions = 0
     for u in range(g.n):
@@ -368,9 +365,8 @@ def _enumerate_states(g: Graph, h: ConstraintGraph, cap: int) -> np.ndarray:
         if expansions > cap:
             raise EnumerationCapError(f"enumeration exceeded the cap of {cap} node expansions")
         ok = np.ones((states.shape[0], q), dtype=bool)
-        for v in g.adjacency[u]:
-            if v < u:
-                ok &= allow[states[:, v]]
+        for v in lower[u]:
+            ok &= allow[states[:, v]]
         parent, color = np.nonzero(ok)  # row-major, so children stay in lexicographic order
         states = np.column_stack([states[parent], color.astype(states.dtype)])
     if not states.shape[0]:

@@ -356,7 +356,7 @@ def test_criterion_11_neighborhood_disjoint_bound():
         assert set(subset) <= set(w)
         seen = set()
         for v in subset:
-            nb = set(g.adjacency[v])
+            nb = set(g.neighbors(v).tolist())
             assert not (nb & seen)
             seen |= nb
         assert len(subset) >= neighborhood_disjoint_size_bound(g), (kind, g.n)

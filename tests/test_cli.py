@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from hcolor import graphs
 from hcolor.cli import main
 from hcolor.graphs import read_graph
 from hcolor.pseudolikelihood import mpl_hardcore
@@ -188,6 +189,16 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("params", ["[1]", '{"n": "x"}', '{"n": null}', '{"n": 1e999}'])
+def test_gen_graph_rejects_malformed_params(tmp_path, capsys, params):
+    out = tmp_path / "g.json"
+    code = run_cli("gen-graph", "--kind", "path", "--params", params, "--out", str(out))
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
 def test_bad_preset_color_count_exit_code(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 4}', "--out", str(g))
@@ -214,6 +225,41 @@ def test_experiment_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
     settings = _kl_settings(tmp_path, {"kind": "path", "params": {"n": 3}}, "hardcore")
     out = tmp_path / "kl.json"
     code = run_cli("experiment", "--settings", settings, "--jobs", jobs, "--out", str(out))
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
+def test_experiment_rejects_settings_that_are_not_an_object(tmp_path, capsys):
+    settings = tmp_path / "settings.json"
+    settings.write_text("[1]\n")
+    out = tmp_path / "out.json"
+    code = run_cli("experiment", "--settings", str(settings), "--out", str(out))
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["consistency", "gradient_concentration"])
+def test_experiment_rejects_negative_replicates(tmp_path, capsys, kind):
+    settings = tmp_path / "settings.json"
+    settings.write_text(
+        json.dumps(
+            {
+                "experiment": kind,
+                "graph": {"kind": "cycle", "params": {}},
+                "h": "hardcore",
+                "beta": [0.2],
+                "n_list": [12],
+                "replicates": -3,
+                "burn_in_sweeps": 10,
+            }
+        )
+    )
+    out = tmp_path / "rows.csv"
+    code = run_cli("experiment", "--settings", str(settings), "--out", str(out))
     assert code == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ParameterError"
@@ -317,6 +363,24 @@ def test_diagnose(tmp_path):
     assert payload["neighborhood_disjoint"]["meets_bound"] is True
     assert 0 <= payload["lambda_min"] <= 1
     assert len(payload["rainbow_fractions"]) == 2
+
+
+def test_diagnose_builds_two_hop_structure_once(tmp_path, monkeypatch):
+    # degree stats, the subset search and its size bound share one cached build
+    calls = []
+    build = graphs._two_hop_csr
+    monkeypatch.setattr(graphs, "_two_hop_csr", lambda *a: calls.append(a) or build(*a))
+    g = tmp_path / "g.json"
+    run_cli("gen-graph", "--kind", "grid", "--params", '{"rows": 4, "cols": 5}', "--out", str(g))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([0] * 20))
+    out = tmp_path / "diag.json"
+    code = run_cli(
+        "diagnose", "--graph", str(g), "--h", "hardcore", "--config", str(cfg),
+        "--beta", "0.0", "--out", str(out),
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -147,7 +147,7 @@ def test_kl_clique_bipartite_matches_closed_form_and_converges():
 
 
 def test_rainbow_check_edgeless_all_one():
-    g = Graph(5, tuple(() for _ in range(5)))
+    g = Graph(5)
     rc = rainbow_check([0, 1, 2, 0, 1], g, COL3)
     assert np.allclose(rc.fractions, 1.0)
     assert all(rc.satisfied.values())

@@ -190,7 +190,7 @@ def test_hardcore_unconstrained_bridge_on_samples():
         direct = sum(
             1
             for v in range(g.n)
-            if cfg[v] == 0 and all(cfg[w] == 0 for w in g.adjacency[v])
+            if cfg[v] == 0 and all(cfg[w] == 0 for w in g.neighbors(v))
         )
         assert u1 - c1 == direct
 
