@@ -226,6 +226,53 @@ def _cmd_exact(args) -> int:
     return 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_vector(x) -> bool:
+    """A JSON list of numbers."""
+    return isinstance(x, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
+    )
+
+
+def _check_experiment_settings(settings: dict, kind) -> None:
+    """Reject wrongly typed settings before an experiment starts any work.
+    An unknown kind is left to ``_cmd_experiment`` to report."""
+    if kind not in ("consistency", "gradient_concentration", "kl"):
+        return
+    graph = settings.get("graph")
+    if not (
+        isinstance(graph, dict)
+        and isinstance(graph.get("kind"), str)
+        and isinstance(graph.get("params", {}), dict)
+    ):
+        raise ParameterError('"graph" must be an object with a string "kind" and object "params"')
+    if not isinstance(settings.get("h"), str):
+        raise ParameterError('"h" must be a preset spec or a constraint-file path')
+    if kind == "kl":
+        if not (_is_vector(settings.get("beta_a")) and _is_vector(settings.get("beta_b"))):
+            raise ParameterError('"beta_a" and "beta_b" must be lists of numbers')
+        if not _is_int(settings.get("state_cap", DEFAULT_STATE_CAP)):
+            raise ParameterError('"state_cap" must be an integer')
+        return
+    replicates = settings.get("replicates")
+    if not _is_int(replicates) or replicates < 0:
+        raise ParameterError(f'"replicates" must be a non-negative integer, got {replicates!r}')
+    n_list = settings.get("n_list")
+    if not (isinstance(n_list, list) and all(_is_int(n) for n in n_list)):
+        raise ParameterError(f'"n_list" must be a list of integers, got {n_list!r}')
+    burn = settings.get("burn_in_sweeps")
+    if burn is not None and (not _is_int(burn) or burn < 0):
+        raise ParameterError(f'"burn_in_sweeps" must be null or an integer >= 0, got {burn!r}')
+    beta = settings.get("beta")
+    nested = kind == "consistency" and isinstance(beta, list) and beta and isinstance(beta[0], list)
+    rows = beta if nested else [beta]
+    if not (all(_is_vector(row) for row in rows) and len({len(row) for row in rows}) == 1):
+        raise ParameterError(f'"beta" must be a number list or equal-length number lists, got {beta!r}')
+
+
 def _cmd_experiment(args) -> int:
     _check_out(args.out)
     if args.jobs < 1:
@@ -235,6 +282,7 @@ def _cmd_experiment(args) -> int:
     if not isinstance(settings, dict):
         raise ParameterError("an experiment settings file must hold a JSON object")
     kind = settings.get("experiment")
+    _check_experiment_settings(settings, kind)
     config = {"settings": args.settings, "resolved": settings, "seed": args.seed,
               "jobs": args.jobs, "out": args.out}
     meta = _meta("experiment", config, seed=args.seed)

@@ -71,10 +71,14 @@ class ModelFamily:
 class ConsistencyRow:
     """Summary of one (n, true-parameter) cell of a consistency experiment.
 
-    Scaled errors are sqrt(n) * ||beta_hat - beta||_2 over the non-degenerate
-    replicates; medians and upper quantiles are reported instead of means so a
-    single diverging fit cannot wreck the summary (diverging fits are counted
-    in ``degenerate_count`` instead).
+    Scaled errors are sqrt(n) * ||beta_hat - beta||_2 over the replicates
+    whose fit is trustworthy; medians and upper quantiles are reported instead
+    of means so a single bad fit cannot wreck the summary. The other fits are
+    counted instead, each in the first of these that applies: diverging
+    (``degenerate_count``), stopped short of its gradient tolerance
+    (``nonconverged_count``), or flat along some direction of the free
+    activities, which the sample then does not determine
+    (``rank_deficient_count``).
     """
 
     n: int
@@ -83,6 +87,8 @@ class ConsistencyRow:
     beta_true: tuple[float, ...]
     replicate_count: int
     degenerate_count: int
+    nonconverged_count: int
+    rank_deficient_count: int
     median_scaled_error: float
     q90_scaled_error: float
     seed: int
@@ -226,11 +232,15 @@ def consistency_experiment(
                 samples[(n, b_idx)] = block
             target = np.asarray(beta)
             errors = []
-            degenerate = 0
+            degenerate = nonconverged = rank_deficient = 0
             for cfg in block:
                 report = mpl_hardcore(cfg, g) if hardcore else mpl_fit(cfg, g, h)
                 if report.is_degenerate:
                     degenerate += 1
+                elif not report.converged:
+                    nonconverged += 1
+                elif report.rank_deficient:
+                    rank_deficient += 1
                 else:
                     errors.append(
                         float(np.sqrt(g.n) * np.linalg.norm(report.beta_hat - target))
@@ -244,6 +254,8 @@ def consistency_experiment(
                     beta_true=beta,
                     replicate_count=replicates,
                     degenerate_count=degenerate,
+                    nonconverged_count=nonconverged,
+                    rank_deficient_count=rank_deficient,
                     median_scaled_error=float(np.median(err)) if err.size else float("nan"),
                     q90_scaled_error=float(np.quantile(err, 0.9)) if err.size else float("nan"),
                     seed=seed,
@@ -261,13 +273,14 @@ def rows_to_csv(rows: Sequence[ConsistencyRow], meta: dict | None = None) -> str
         buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
     buf.write(
         "n,graph_kind,h_name,beta_true,replicate_count,degenerate_count,"
-        "median_scaled_error,q90_scaled_error,seed\n"
+        "nonconverged_count,rank_deficient_count,median_scaled_error,q90_scaled_error,seed\n"
     )
     for r in rows:
         beta = ";".join(repr(b) for b in r.beta_true)
         buf.write(
             f"{r.n},{r.graph_kind},{r.h_name},{beta},{r.replicate_count},"
-            f"{r.degenerate_count},{r.median_scaled_error!r},{r.q90_scaled_error!r},{r.seed}\n"
+            f"{r.degenerate_count},{r.nonconverged_count},{r.rank_deficient_count},"
+            f"{r.median_scaled_error!r},{r.q90_scaled_error!r},{r.seed}\n"
         )
     return buf.getvalue()
 

@@ -9,6 +9,7 @@ small clique joined completely to a large independent part.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -513,7 +514,7 @@ def graph_from_json(text: str) -> Graph:
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise GraphFormatError('graph JSON must be an object with "n" and "edges"')
     n = payload["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise GraphFormatError('"n" must be a positive integer')
     edges = payload["edges"]
     if not isinstance(edges, list):
@@ -522,6 +523,8 @@ def graph_from_json(text: str) -> Graph:
         pairs = np.array(edges if edges else np.zeros((0, 2), dtype=np.int64))
         if pairs.dtype.kind != "i" or pairs.shape[1:] != (2,):
             raise ValueError
+        if bool in set(map(type, itertools.chain.from_iterable(edges))):
+            raise ValueError  # numpy reads true and false next to integers as 1 and 0
     except ValueError as exc:  # non-integer entries, ragged rows or other shapes
         raise GraphFormatError('"edges" must be a list of [u, v] integer pairs') from exc
     unordered = pairs[pairs[:, 0] >= pairs[:, 1]]

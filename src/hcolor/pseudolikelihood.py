@@ -13,6 +13,11 @@ Hessian is positive semidefinite with largest eigenvalue below 1, so the log
 pseudo-likelihood is concave and damped Newton with a backtracking line search
 reaches its maximum in a handful of steps whenever the fit is non-degenerate.
 
+All three read a vertex only through its allowed set and its color, so they
+are computed from the configuration's (allowed set, color) histogram
+(``PLState``): one softmax per distinct allowed set, at most min(n, 2**q) of
+them, weighted by its number of vertices.
+
 For the two-color occupancy model the maximizer is available in closed form:
 log of (occupied count / recolorable empty-site count).
 """
@@ -26,7 +31,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graphs import Graph
-from .model import ConstraintGraph, _conditional_law, allowed_matrix, preset, require_valid
+from .model import ConstraintGraph, allowed_matrix, preset, require_valid
 
 __all__ = [
     "PLState",
@@ -67,33 +72,54 @@ _MIN_STEP_FRACTION = 2.0**-30
 
 @dataclass
 class PLState:
-    """Per-configuration precomputation shared by all pseudo-likelihood calls.
+    """The pseudo-likelihood's sufficient statistic of one valid configuration.
 
-    ``allowed[u, s]`` says recoloring vertex u to color s keeps the
-    configuration valid; every row of a valid configuration is nonempty.
+    The log pseudo-likelihood reads a configuration only through how many
+    vertices have each (allowed set, observed color) pair. ``patterns`` (P, q)
+    holds the distinct allowed sets, where ``patterns[p, s]`` says recoloring
+    to s keeps the configuration valid; every row is nonempty and
+    P <= min(n, 2**q). ``table[p, c]`` counts the vertices with allowed set
+    ``patterns[p]`` and color c, and ``counts[c]`` the vertices of color c.
     """
 
-    colors: np.ndarray
-    allowed: np.ndarray
+    patterns: np.ndarray
+    table: np.ndarray
+    n: int
     counts: np.ndarray
 
     @classmethod
     def from_configuration(cls, cfg, g: Graph, h: ConstraintGraph) -> "PLState":
         colors = require_valid(cfg, g, h)
         allowed = allowed_matrix(colors, g, h)
-        counts = np.bincount(colors, minlength=h.q)
-        return cls(colors=colors, allowed=allowed, counts=counts)
-
-    @property
-    def n(self) -> int:
-        return self.colors.shape[0]
+        first, inverse = _distinct_rows(allowed)
+        table = np.bincount(inverse * h.q + colors, minlength=first.size * h.q)
+        return cls(
+            patterns=allowed[first],
+            table=table.reshape(first.size, h.q),
+            n=colors.shape[0],
+            counts=np.bincount(colors, minlength=h.q),
+        )
 
     @property
     def q(self) -> int:
-        return self.allowed.shape[1]
+        return self.patterns.shape[1]
 
     def unconstrained(self) -> np.ndarray:
-        return self.allowed.sum(axis=0)
+        """Per color, the number of vertices where it is allowed."""
+        return self.table.sum(axis=1) @ self.patterns
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrence of each distinct row of a boolean matrix, and the
+    index of every row among those. Columns are read 31 at a time as integer
+    bit keys, each chunk keyed together with the previous chunk's row index,
+    so no key overflows int64 whatever the width."""
+    inverse = np.zeros(rows.shape[0], dtype=np.int64)
+    for lo in range(0, rows.shape[1], 31):
+        chunk = rows[:, lo : lo + 31]
+        keys = (inverse << 31) | (chunk @ (1 << np.arange(chunk.shape[1], dtype=np.int64)))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _full_params(b, q: int) -> np.ndarray:
@@ -105,31 +131,33 @@ def _full_params(b, q: int) -> np.ndarray:
     return np.concatenate([[0.0], arr])
 
 
+def _evaluate(state: PLState, b_full: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Normalized log pseudo-likelihood, its gradient and its negated Hessian
+    at ``b_full``, from one softmax over the allowed-set patterns, each
+    weighted by its number of vertices."""
+    scores = np.where(state.patterns, b_full, -np.inf)
+    top = scores.max(axis=1, keepdims=True)
+    w = np.exp(scores - top)
+    z = w.sum(axis=1, keepdims=True)
+    log_norm = top + np.log(z)
+    value = float((state.table * (b_full - log_norm)).sum()) / state.n
+    t = (w / z)[:, 1:]
+    weighted = state.table.sum(axis=1)[:, None] * t
+    grad = (state.counts[1:] - weighted.sum(axis=0)) / state.n
+    neg_hess = (np.diag(weighted.sum(axis=0)) - t.T @ weighted) / state.n
+    return value, grad, neg_hess
+
+
 def log_pl(cfg, g: Graph, h: ConstraintGraph, b) -> float:
     """Normalized log pseudo-likelihood at activities b (length q-1)."""
     state = PLState.from_configuration(cfg, g, h)
-    return _log_pl(state, _full_params(b, h.q))
-
-
-def _log_pl(state: PLState, b_full: np.ndarray) -> float:
-    scores = np.where(state.allowed, b_full[None, :], -np.inf)
-    m = scores.max(axis=1)
-    log_norm = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-    return float((b_full[state.colors] - log_norm).mean())
+    return _evaluate(state, _full_params(b, h.q))[0]
 
 
 def pl_gradient(cfg, g: Graph, h: ConstraintGraph, b) -> np.ndarray:
     """Gradient of the normalized log pseudo-likelihood; each entry in [-1, 1]."""
     state = PLState.from_configuration(cfg, g, h)
-    return _derivatives(state, _full_params(b, h.q))[0]
-
-
-def _derivatives(state: PLState, b_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and negated Hessian of the normalized log pseudo-likelihood."""
-    t = _conditional_law(state.allowed, b_full)[:, 1:]
-    grad = state.counts[1:] / state.n - t.mean(axis=0)
-    neg_hess = (np.diag(t.sum(axis=0)) - t.T @ t) / state.n
-    return grad, neg_hess
+    return _evaluate(state, _full_params(b, h.q))[1]
 
 
 def pl_hessian(cfg, g: Graph, h: ConstraintGraph, b) -> np.ndarray:
@@ -140,7 +168,7 @@ def pl_hessian(cfg, g: Graph, h: ConstraintGraph, b) -> np.ndarray:
     symmetric negative semidefinite everywhere.
     """
     state = PLState.from_configuration(cfg, g, h)
-    return -_derivatives(state, _full_params(b, h.q))[1]
+    return -_evaluate(state, _full_params(b, h.q))[2]
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -222,12 +250,12 @@ def mpl_hardcore(cfg, g: Graph) -> EstimateReport:
     h = preset("hardcore")
     state = PLState.from_configuration(cfg, g, h)
     c = int(state.counts[1])
-    allowed_1 = int(state.allowed[:, 1].sum())
+    allowed_1 = int(state.unconstrained()[1])
     u = allowed_1 - c  # empty vertices whose neighborhoods are empty
     rainbow = np.array([allowed_1 / state.n])
     if c > 0 and u > 0:
         beta = math.log(c / u)
-        grad, neg_hess = _derivatives(state, np.array([0.0, beta]))
+        _, grad, neg_hess = _evaluate(state, np.array([0.0, beta]))
         lam = max(float(neg_hess[0, 0]), 0.0)
         return EstimateReport(
             beta_hat=np.array([beta]),
@@ -268,11 +296,11 @@ def _divergence_flags(state: PLState) -> list[str]:
     """
     q = state.q
     flags = [DEGENERATE_NONE] * (q - 1)
-    allowed = state.allowed.copy()
+    allowed = state.patterns.copy()
     while True:
         informative = allowed.sum(axis=1) > 1
-        onehot = np.eye(q, dtype=np.int64)[state.colors[informative]]
-        reach = (allowed[informative].T.astype(np.int64) @ onehot > 0) | np.eye(q, dtype=bool)
+        arcs = allowed[informative].T.astype(np.int64) @ state.table[informative]
+        reach = (arcs > 0) | np.eye(q, dtype=bool)
         while True:  # transitive closure by repeated squaring
             longer = reach.astype(np.int64) @ reach.astype(np.int64) > 0
             if np.array_equal(longer, reach):
@@ -352,9 +380,7 @@ def mpl_fit(
             freeze(r, flag)
 
     iterations = 0
-    b_full = np.concatenate([[0.0], b])
-    value = _log_pl(state, b_full)
-    grad, neg_hess = _derivatives(state, b_full)
+    value, grad, neg_hess = _evaluate(state, np.concatenate([[0.0], b]))
     grad_norm = float(np.abs(grad[free]).max()) if free.any() else 0.0
     while grad_norm > tol and iterations < max_iter:
         g_free = grad[free]
@@ -368,8 +394,8 @@ def mpl_fit(
         while True:
             cand = b.copy()
             cand[free] += t * direction
-            cand_value = _log_pl(state, np.concatenate([[0.0], cand]))
-            if slope <= _QUADRATIC_SLOPE or cand_value >= value + _ARMIJO * t * slope:
+            trial = _evaluate(state, np.concatenate([[0.0], cand]))
+            if slope <= _QUADRATIC_SLOPE or trial[0] >= value + _ARMIJO * t * slope:
                 break
             t *= 0.5
             if t < _MIN_STEP_FRACTION:
@@ -378,18 +404,17 @@ def mpl_fit(
             break  # no representable ascent left
         b[:] = cand
         iterations += 1
-        value = cand_value
+        value, grad, neg_hess = trial
         past_bound = np.flatnonzero(free & (np.abs(b) > FREEZE_BOUND))
         for r in past_bound:
             freeze(r, DEGENERATE_NEG if b[r] < 0 else DEGENERATE_POS)
         if past_bound.size:
-            value = _log_pl(state, np.concatenate([[0.0], b]))
-        grad, neg_hess = _derivatives(state, np.concatenate([[0.0], b]))
+            value, grad, neg_hess = _evaluate(state, np.concatenate([[0.0], b]))
         grad_norm = float(np.abs(grad[free]).max()) if free.any() else 0.0
 
     # curvature of the free coordinates only: frozen ones sit on a flat limit
     free_block = neg_hess[np.ix_(free, free)]
-    lam = max(float(symmetric_eigenvalues(free_block)[0]), 0.0) if free.any() else None
+    lam = max(float(np.linalg.eigvalsh(free_block)[0]), 0.0) if free.any() else None
     beta_hat = b.copy()
     for r, flag in enumerate(flags):
         if flag == DEGENERATE_NEG:

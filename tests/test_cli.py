@@ -266,6 +266,45 @@ def test_experiment_rejects_negative_replicates(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("consistency", {"graph": [1]}),
+        ("consistency", {"graph": {"kind": "cycle", "params": [1]}}),
+        ("consistency", {"replicates": "2"}),
+        ("consistency", {"replicates": True}),
+        ("consistency", {"n_list": 12}),
+        ("consistency", {"beta": [[0.2], [0.1, 0.3]]}),
+        ("consistency", {"burn_in_sweeps": "10"}),
+        ("gradient_concentration", {"beta": "0.2"}),
+        ("gradient_concentration", {"n_list": ["12"]}),
+        ("kl", {"graph": "cycle"}),
+        ("kl", {"beta_a": "x"}),
+        ("kl", {"state_cap": "x"}),
+    ],
+)
+def test_experiment_rejects_wrongly_typed_settings(tmp_path, capsys, kind, change):
+    settings = tmp_path / "settings.json"
+    base = {
+        "experiment": kind,
+        "graph": {"kind": "cycle", "params": {}},
+        "h": "hardcore",
+        "beta": [0.2],
+        "beta_a": [0.2],
+        "beta_b": [0.1],
+        "n_list": [12],
+        "replicates": 2,
+        "burn_in_sweeps": 10,
+    }
+    settings.write_text(json.dumps({**base, **change}))
+    out = tmp_path / "rows.csv"
+    code = run_cli("experiment", "--settings", str(settings), "--out", str(out))
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
 def test_experiment_kl_infeasible_exit_code(tmp_path, capsys):
     # no proper 2-coloring of a triangle exists
     settings = _kl_settings(tmp_path, {"kind": "complete", "params": {"n": 3}}, "proper_coloring:2")

@@ -1,11 +1,13 @@
 """Consistency machinery, KL oracle, concentration, and rainbow diagnostics."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import hcolor.experiments as experiments
 from hcolor.errors import FullyLooseConstraintError, InfeasibleModelError, ParameterError
 from hcolor.experiments import (
     GraphFamily,
@@ -220,9 +222,36 @@ def test_csv_output_shape():
     assert lines[0].startswith("# meta: ")
     assert lines[1] == (
         "n,graph_kind,h_name,beta_true,replicate_count,degenerate_count,"
-        "median_scaled_error,q90_scaled_error,seed"
+        "nonconverged_count,rank_deficient_count,median_scaled_error,q90_scaled_error,seed"
     )
     assert lines[2].startswith("12,cycle,h,0.1,3,")
+
+
+def test_consistency_keeps_untrustworthy_fits_out_of_the_quantiles(monkeypatch):
+    # the second and third fits are reported as not converged and as rank
+    # deficient; each is counted on its own and left out of the errors
+    fam = GraphFamily("cycle", {})
+    kwargs = dict(sampler_settings={"burn_in_sweeps": 20}, seed=6)
+    (row,) = consistency_experiment(fam, COL3, [0.1, -0.1], [200], 6, **kwargs)
+    assert (row.degenerate_count, row.nonconverged_count, row.rank_deficient_count) == (0, 0, 0)
+    fit, calls = experiments.mpl_fit, []
+
+    def marked_fit(*args, **kw):
+        report = fit(*args, **kw)
+        calls.append(report)
+        if len(calls) == 2:
+            report = dataclasses.replace(report, converged=False)
+        if len(calls) == 3:
+            report = dataclasses.replace(report, rank_deficient=True)
+        return report
+
+    monkeypatch.setattr(experiments, "mpl_fit", marked_fit)
+    (row,) = consistency_experiment(fam, COL3, [0.1, -0.1], [200], 6, **kwargs)
+    assert (row.degenerate_count, row.nonconverged_count, row.rank_deficient_count) == (0, 1, 1)
+    kept = [r for i, r in enumerate(calls) if i not in (1, 2)]
+    err = [math.sqrt(200) * float(np.linalg.norm(r.beta_hat - [0.1, -0.1])) for r in kept]
+    assert row.median_scaled_error == float(np.median(err))
+    assert row.q90_scaled_error == float(np.quantile(err, 0.9))
 
 
 def test_gradient_concentration_forced_model_zero():

@@ -301,6 +301,8 @@ def test_reader_rejects_malformed():
         graph_from_json('{"n": 3, "edges": [[0, 1], [0, 1]]}')
     with pytest.raises(GraphFormatError):
         graph_from_json("not json")
+    with pytest.raises(GraphFormatError):
+        graph_from_json('{"n": true, "edges": []}')
     for edges in [
         "[[0, 1.5]]",
         '[[0, "1"]]',
@@ -312,6 +314,7 @@ def test_reader_rejects_malformed():
         "[[0, 1], [2]]",
         "[[0, 1e400]]",
         "[[0, 18446744073709551615]]",
+        "[[0, true]]",
     ]:
         with pytest.raises(GraphFormatError):
             graph_from_json('{"n": 3, "edges": %s}' % edges)

@@ -15,11 +15,13 @@ from hcolor.errors import (
     ParameterError,
 )
 from hcolor.graphs import generate
-from hcolor.model import Model, is_valid, preset
+import hcolor.pseudolikelihood as pl
+from hcolor.model import Model, allowed_matrix, is_valid, preset
 from hcolor.pseudolikelihood import (
     DEGENERATE_NEG,
     DEGENERATE_NONE,
     DEGENERATE_POS,
+    PLState,
     log_pl,
     min_eigenvalue_neg_hessian,
     mpl_fit,
@@ -438,3 +440,94 @@ def test_mpl_fit_no_unflagged_runaway_on_small_paths():
             assert np.all(np.abs(finite) <= 10.0), (cfg, rep.beta_hat)
             fits += 1
     assert fits == 507
+
+
+def _per_vertex_reference(cfg, g, h, b):
+    """Log-PL, gradient and Hessian summed vertex by vertex over the (n, q)
+    allowed matrix."""
+    colors = np.asarray(cfg)
+    allowed = allowed_matrix(colors, g, h)
+    b_full = np.concatenate([[0.0], b])
+    scores = np.where(allowed, b_full, -np.inf)
+    m = scores.max(axis=1)
+    w = np.exp(scores - m[:, None])
+    log_norm = m + np.log(w.sum(axis=1))
+    t = (w / w.sum(axis=1, keepdims=True))[:, 1:]
+    n = colors.shape[0]
+    value = float((b_full[colors] - log_norm).mean())
+    grad = np.bincount(colors, minlength=h.q)[1:] / n - t.mean(axis=0)
+    hess = -(np.diag(t.sum(axis=0)) - t.T @ t) / n
+    return value, grad, hess
+
+
+def _per_vertex_state(cfg, g, h):
+    """A PLState with one pattern row per vertex, so every sum runs vertex
+    by vertex."""
+    colors = np.asarray(cfg)
+    return PLState(
+        patterns=allowed_matrix(colors, g, h),
+        table=np.eye(h.q, dtype=np.int64)[colors],
+        n=colors.shape[0],
+        counts=np.bincount(colors, minlength=h.q),
+    )
+
+
+def _equivalence_cases():
+    path5 = generate("path", {"n": 5})
+    for h in PRESET_POOL:
+        for cfg in itertools.product(range(h.q), repeat=5):
+            if is_valid(cfg, path5, h):
+                yield path5, h, list(cfg)
+    rng = np.random.default_rng(77)
+    for trial, h in enumerate(PRESET_POOL + [preset("proper_coloring", q=70)]):
+        g = generate("grid", {"rows": 10, "cols": 20})
+        beta = rng.uniform(-1, 1, size=h.q - 1)
+        yield g, h, sample(Model(g, h, beta), burn_in_sweeps=20, seed=trial)
+
+
+def test_histogram_matches_per_vertex_sums(monkeypatch):
+    checked = wide = 0
+    for g, h, cfg in _equivalence_cases():
+        state = PLState.from_configuration(cfg, g, h)
+        assert state.table.sum() == g.n and state.patterns.shape[0] <= g.n
+        assert len({row.tobytes() for row in state.patterns}) == state.patterns.shape[0]
+        b = np.random.default_rng(checked).uniform(-2, 2, size=h.q - 1)
+        value, grad, hess = _per_vertex_reference(cfg, g, h, b)
+        assert abs(log_pl(cfg, g, h, b) - value) <= 1e-12
+        assert np.max(np.abs(pl_gradient(cfg, g, h, b) - grad)) <= 1e-12
+        assert np.max(np.abs(pl_hessian(cfg, g, h, b) - hess)) <= 1e-12
+
+        rep = mpl_fit(cfg, g, h)
+        with monkeypatch.context() as m:
+            m.setattr(PLState, "from_configuration", _per_vertex_state)
+            ref = mpl_fit(cfg, g, h)
+        assert rep.degenerate == ref.degenerate, cfg
+        assert (rep.converged, rep.rank_deficient) == (ref.converged, ref.rank_deficient)
+        finite = np.isfinite(ref.beta_hat)
+        assert np.array_equal(rep.beta_hat[~finite], ref.beta_hat[~finite])
+        assert np.max(np.abs(rep.beta_hat[finite] - ref.beta_hat[finite]), initial=0.0) <= 1e-10
+        checked += 1
+        wide += h.q > 62
+    assert wide == 1 and checked > 1000
+
+
+@pytest.mark.parametrize("beta", [[0.3, -0.3], [-0.2, 0.1]])
+def test_mpl_fit_evaluates_once_per_line_search_trial(monkeypatch, beta):
+    g = generate("cycle", {"n": 1000})
+    cfg = sample(Model(g, COL3, beta), burn_in_sweeps=100, seed=11)
+    points = []
+    evaluate = pl._evaluate
+
+    def counted(state, b_full):
+        points.append(b_full[1:].copy())
+        return evaluate(state, b_full)
+
+    monkeypatch.setattr(pl, "_evaluate", counted)
+    rep = mpl_fit(cfg, g, COL3)
+    # every step here is a full Newton step, accepted at its first trial,
+    # and the accepted trial's gradient is the one the report carries
+    assert len(points) == rep.iterations + 1
+    assert np.array_equal(points[-1], rep.beta_hat)
+    state = PLState.from_configuration(cfg, g, COL3)
+    _, grad, _ = evaluate(state, np.concatenate([[0.0], rep.beta_hat]))
+    assert rep.final_gradient_norm == float(np.abs(grad).max())
