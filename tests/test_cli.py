@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -432,3 +433,101 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["n"] == 4
+
+
+# Each command run in-process with relative paths, so the artifacts (whose
+# ``meta`` records every path) hash the same in any working directory.
+_PINNED_SETTINGS = {
+    "consistency.json": {
+        "experiment": "consistency",
+        "graph": {"kind": "cycle", "params": {}},
+        "h": "hardcore",
+        "beta": [0.2],
+        "n_list": [12],
+        "replicates": 2,
+        "burn_in_sweeps": 10,
+    },
+    "gradient.json": {
+        "experiment": "gradient_concentration",
+        "graph": {"kind": "cycle", "params": {}},
+        "h": "hardcore",
+        "beta": [0.0],
+        "n_list": [16],
+        "replicates": 2,
+        "burn_in_sweeps": 10,
+    },
+    "kl.json": {
+        "experiment": "kl",
+        "graph": {"kind": "path", "params": {"n": 4}},
+        "h": "hardcore",
+        "beta_a": [0.0],
+        "beta_b": [0.5],
+    },
+}
+
+_PINNED_RUNS = [
+    ("gen-graph", "--kind", "cycle", "--params", '{"n": 12}', "--seed", "1", "--out", "g.json"),
+    ("sample", "--graph", "g.json", "--h", "hardcore", "--beta", "0.3", "--burnin", "20",
+     "--seed", "5", "--out", "hc.json"),
+    ("sample", "--graph", "g.json", "--h", "proper_coloring:3", "--beta", "0.1,-0.2",
+     "--burnin", "20", "--seed", "6", "--out", "pc.json"),
+    ("estimate", "--graph", "g.json", "--h", "hardcore", "--config", "hc.json", "--out", "est_hc.json"),
+    ("estimate", "--graph", "g.json", "--h", "proper_coloring:3", "--config", "pc.json",
+     "--out", "est_pc.json"),
+    ("exact", "--graph", "g.json", "--h", "hardcore", "--beta", "0.5", "--out", "exact.json"),
+    ("experiment", "--settings", "consistency.json", "--seed", "3", "--out", "rows.csv"),
+    ("experiment", "--settings", "gradient.json", "--seed", "1", "--out", "conc.csv"),
+    ("experiment", "--settings", "kl.json", "--out", "kl_out.json"),
+    ("diagnose", "--graph", "g.json", "--h", "hardcore", "--config", "hc.json", "--beta", "0.3",
+     "--seed", "2", "--out", "diag.json"),
+]
+
+_PINNED_DIGESTS = {
+    "g.json": "9fe6c3b22bde23387e503afd446fd0e6f3c69604c3f5c48d5aff12f66d9bfd88",
+    "hc.json": "5054cb7d7becc3d86af0d57dc5636015159725b60f16eafcca96a24e8a16216c",
+    "pc.json": "7b9ecd2b91539a0aeb99d66276f0508123fb717454aed591f209af55f8b37e10",
+    "est_hc.json": "27af1b0b9069607b08aec766f8572ea7ede45aa61f4817a5af92740fc6cd0879",
+    "est_pc.json": "bf5ca14fae3247bd6aae09c940e41eb58fb6a8f271671467271246c809dffc2a",
+    "exact.json": "4e53885083a6a17aa544bfcfc4aea09c3ab99998553de79acacd40db97df1f12",
+    "rows.csv": "259511b83f2eaad4582146fc8a675c7f0f9e25fe4fb57a75f46a4e5762fe7783",
+    "conc.csv": "0451692206dc66733c76f8695e2401cfe0d657fd0025f383286b38fe9b897afd",
+    "kl_out.json": "2cfc03573667a04771a7c9320276380252355fe9fcfff07da191d040de5448c3",
+    "diag.json": "a49c42ea59eab71a18acaf5fad3348f488a0e68f494361d73ae1e32713ffaa39",
+}
+
+
+def test_cli_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, settings in _PINNED_SETTINGS.items():
+        (tmp_path / name).write_text(json.dumps(settings))
+    for argv in _PINNED_RUNS:
+        assert run_cli(*argv) == 0, argv
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in (argv[-1] for argv in _PINNED_RUNS)
+    }
+    assert digests == _PINNED_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind, message",
+    [
+        (("sample", "--graph", "g.json", "--h", "proper_coloring:x", "--beta", "0,0",
+          "--out", "s.json"), 1,
+         "ParameterError", "could not parse the color count in 'proper_coloring:x'"),
+        (("exact", "--graph", "odd.json", "--h", "proper_coloring:2", "--beta", "0",
+          "--out", "e.json"), 2,
+         "InfeasibleModelError", "no valid configuration exists"),
+        (("exact", "--graph", "g.json", "--h", "hardcore", "--beta", "0.5", "--cap", "3",
+          "--out", "e.json"), 3,
+         "EnumerationCapError", "enumeration exceeded the cap of 3 node expansions"),
+    ],
+)
+def test_cli_errors_match_pinned_output(tmp_path, monkeypatch, capsys, argv, code, kind, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 12}', "--out", "g.json") == 0
+    assert run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 5}', "--out", "odd.json") == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    assert capsys.readouterr().out == json.dumps({"error": {"type": kind, "message": message}}) + "\n"
+    assert not (tmp_path / argv[-1]).exists()
