@@ -12,10 +12,10 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .graphs import (
     write_graph,
 )
 from .model import (
+    PRESET_NAMES,
     Model,
     is_hardcore,
     preset,
@@ -61,14 +62,6 @@ from .pseudolikelihood import (
 )
 from .sampler import DEFAULT_STATE_CAP, enumerate_exact, sample
 
-_PRESET_NAMES = {
-    "hardcore",
-    "widom_rowlinson",
-    "counterexample_h",
-    "proper_coloring",
-    "multistate_hardcore",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors through the exit-code map
@@ -78,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_h(spec: str):
     """Either a preset spec like 'hardcore' / 'proper_coloring:3', or a file path."""
     name, _, qpart = spec.partition(":")
-    if name in _PRESET_NAMES:
+    if name in PRESET_NAMES:
         try:
             q = int(qpart) if qpart else None
         except ValueError as exc:
@@ -97,39 +90,30 @@ def _parse_beta(spec: str, q: int) -> np.ndarray:
     return np.asarray(values)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: what ran, with which settings, from which seed.
-
-    Every artifact embeds this (plus the tool version), so re-running the
-    recorded command reproduces the artifact byte-for-byte. ``seed`` is None
-    for deterministic commands that consume no randomness.
-    """
-
-    command: str
-    settings: dict
-    seed: int | None = None
-
-    def meta(self) -> dict:
-        return {
-            "tool": "hcolor",
-            "version": __version__,
-            "command": self.command,
-            "seed": self.seed,
-            "config": self.settings,
-        }
+def _meta(args, **parsed) -> dict:
+    """What ran, with which settings, from which seed. ``config`` holds every
+    argument under its flag's name, with the values in ``parsed`` (``--beta``
+    as a list, ``--params`` as an object, the resolved experiment settings) in
+    place of their text, so re-running the recorded command reproduces the
+    artifact byte-for-byte. ``seed`` is None for commands without ``--seed``,
+    which consume no randomness."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    return {
+        "tool": "hcolor",
+        "version": __version__,
+        "command": args.command,
+        "seed": getattr(args, "seed", None),
+        "config": {**config, **parsed},
+    }
 
 
-def _meta(command: str, config: dict, seed=None) -> dict:
-    return RunConfig(command, config, seed).meta()
-
-
-def _check_out(path: str) -> str:
-    """Fail before any work if the output location cannot exist."""
+def _check_out(path: str) -> None:
+    """Fail before any work if the output file cannot be written."""
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise ParameterError(f"output directory does not exist: {parent}")
-    return path
+    if os.path.isdir(path):
+        raise ParameterError(f"output path is a directory: {path}")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -143,36 +127,21 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen_graph(args) -> int:
-    _check_out(args.out)
+def _cmd_gen_graph(args) -> None:
     params = json.loads(args.params)
     g = generate(args.kind, params, seed=args.seed)
-    config = {"kind": args.kind, "params": params, "seed": args.seed, "out": args.out}
-    write_graph(args.out, g, meta=_meta("gen-graph", config, seed=args.seed))
-    return 0
+    write_graph(args.out, g, meta=_meta(args, params=params))
 
 
-def _cmd_sample(args) -> int:
-    _check_out(args.out)
+def _cmd_sample(args) -> None:
     g = read_graph(args.graph)
     h = _parse_h(args.h)
     beta = _parse_beta(args.beta, h.q)
-    model = Model(g, h, beta)
-    cfg = sample(model, burn_in_sweeps=args.burnin, seed=args.seed)
-    config = {
-        "graph": args.graph,
-        "h": args.h,
-        "beta": beta.tolist(),
-        "burnin": args.burnin,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    write_configuration(args.out, cfg, meta=_meta("sample", config, seed=args.seed))
-    return 0
+    cfg = sample(Model(g, h, beta), burn_in_sweeps=args.burnin, seed=args.seed)
+    write_configuration(args.out, cfg, meta=_meta(args, beta=beta.tolist()))
 
 
-def _cmd_estimate(args) -> int:
-    _check_out(args.out)
+def _cmd_estimate(args) -> None:
     g = read_graph(args.graph)
     h = _parse_h(args.h)
     cfg = read_configuration(args.config)
@@ -189,41 +158,21 @@ def _cmd_estimate(args) -> int:
         report = closed
     else:
         report = mpl_fit(cfg, g, h, tol=args.tol)
-    config = {
-        "graph": args.graph,
-        "h": args.h,
-        "config": args.config,
-        "tol": args.tol,
-        "out": args.out,
-    }
-    payload = json.loads(report_to_json(report))
-    payload["meta"] = _meta("estimate", config, seed=None)
-    _write_json(args.out, payload)
-    return 0
+    _write_json(args.out, {**json.loads(report_to_json(report)), "meta": _meta(args)})
 
 
-def _cmd_exact(args) -> int:
-    _check_out(args.out)
+def _cmd_exact(args) -> None:
     g = read_graph(args.graph)
     h = _parse_h(args.h)
     beta = _parse_beta(args.beta, h.q)
-    model = Model(g, h, beta)
-    summary = enumerate_exact(model, state_cap=args.cap)
-    config = {
-        "graph": args.graph,
-        "h": args.h,
-        "beta": beta.tolist(),
-        "cap": args.cap,
-        "out": args.out,
-    }
+    summary = enumerate_exact(Model(g, h, beta), state_cap=args.cap)
     payload = {
         "log_partition": summary.log_partition,
         "expected_counts": [float(x) for x in summary.expected_counts],
         "expected_unconstrained": [float(x) for x in summary.expected_unconstrained],
-        "meta": _meta("exact", config, seed=None),
+        "meta": _meta(args, beta=beta.tolist()),
     }
     _write_json(args.out, payload)
-    return 0
 
 
 def _is_int(x) -> bool:
@@ -238,10 +187,10 @@ def _is_vector(x) -> bool:
 
 
 def _check_experiment_settings(settings: dict, kind) -> None:
-    """Reject wrongly typed settings before an experiment starts any work.
-    An unknown kind is left to ``_cmd_experiment`` to report."""
+    """Reject an unknown kind or wrongly typed settings before an experiment
+    starts any work."""
     if kind not in ("consistency", "gradient_concentration", "kl"):
-        return
+        raise ParameterError(f"unknown experiment kind {kind!r}")
     graph = settings.get("graph")
     if not (
         isinstance(graph, dict)
@@ -251,6 +200,8 @@ def _check_experiment_settings(settings: dict, kind) -> None:
         raise ParameterError('"graph" must be an object with a string "kind" and object "params"')
     if not isinstance(settings.get("h"), str):
         raise ParameterError('"h" must be a preset spec or a constraint-file path')
+    if not isinstance(settings.get("h_name", ""), str):
+        raise ParameterError(f'"h_name" must be a string, got {settings["h_name"]!r}')
     if kind == "kl":
         if not (_is_vector(settings.get("beta_a")) and _is_vector(settings.get("beta_b"))):
             raise ParameterError('"beta_a" and "beta_b" must be lists of numbers')
@@ -273,8 +224,7 @@ def _check_experiment_settings(settings: dict, kind) -> None:
         raise ParameterError(f'"beta" must be a number list or equal-length number lists, got {beta!r}')
 
 
-def _cmd_experiment(args) -> int:
-    _check_out(args.out)
+def _cmd_experiment(args) -> None:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.settings) as fh:
@@ -283,48 +233,14 @@ def _cmd_experiment(args) -> int:
         raise ParameterError("an experiment settings file must hold a JSON object")
     kind = settings.get("experiment")
     _check_experiment_settings(settings, kind)
-    config = {"settings": args.settings, "resolved": settings, "seed": args.seed,
-              "jobs": args.jobs, "out": args.out}
-    meta = _meta("experiment", config, seed=args.seed)
-    if kind == "consistency":
-        family = GraphFamily(settings["graph"]["kind"], settings["graph"].get("params", {}))
-        h = _parse_h(settings["h"])
-        rows = consistency_experiment(
-            family,
-            h,
-            settings["beta"],
-            settings["n_list"],
-            settings["replicates"],
-            sampler_settings={"burn_in_sweeps": settings.get("burn_in_sweeps")},
-            seed=args.seed,
-            h_name=settings.get("h_name", settings["h"]),
-            jobs=args.jobs,
-        )
-        with open(args.out, "w") as fh:
-            fh.write(rows_to_csv(rows, meta=meta))
-        return 0
-    if kind == "gradient_concentration":
-        family = GraphFamily(settings["graph"]["kind"], settings["graph"].get("params", {}))
-        h = _parse_h(settings["h"])
-        mf = ModelFamily(family, h, tuple(settings["beta"]), h_name=settings.get("h_name", settings["h"]))
-        result = gradient_concentration(
-            mf,
-            settings["n_list"],
-            settings["replicates"],
-            seed=args.seed,
-            sampler_settings={"burn_in_sweeps": settings.get("burn_in_sweeps")},
-            jobs=args.jobs,
-        )
-        with open(args.out, "w") as fh:
-            fh.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-            fh.write("n,mean_scaled_grad_sq,replicates,seed\n")
-            for n in settings["n_list"]:
-                fh.write(f"{n},{result[n]!r},{settings['replicates']},{args.seed}\n")
-        return 0
+    meta = _meta(args, resolved=settings)
+    family = GraphFamily(settings["graph"]["kind"], settings["graph"].get("params", {}))
+    if kind == "kl":  # the graph is built before h is read, so its error wins
+        g = generate(family.kind, family.params, seed=args.seed)
+    h = _parse_h(settings["h"])
+    h_name = settings.get("h_name", settings["h"])
+    sampler_settings = {"burn_in_sweeps": settings.get("burn_in_sweeps")}
     if kind == "kl":
-        gspec = settings["graph"]
-        g = generate(gspec["kind"], gspec.get("params", {}), seed=args.seed)
-        h = _parse_h(settings["h"])
         result = kl_exact(
             g,
             h,
@@ -333,21 +249,38 @@ def _cmd_experiment(args) -> int:
             state_cap=settings.get("state_cap", DEFAULT_STATE_CAP),
             method=settings.get("method", "brute_force"),
         )
-        payload = {
-            "n_parameter": result.n_parameter,
-            "theta": list(result.theta),
-            "theta_prime": list(result.theta_prime),
-            "kl": result.kl,
-            "method": result.method,
-            "meta": meta,
-        }
-        _write_json(args.out, payload)
-        return 0
-    raise ParameterError(f"unknown experiment kind {kind!r}")
+        _write_json(args.out, {**dataclasses.asdict(result), "meta": meta})
+    elif kind == "consistency":
+        rows = consistency_experiment(
+            family,
+            h,
+            settings["beta"],
+            settings["n_list"],
+            settings["replicates"],
+            sampler_settings=sampler_settings,
+            seed=args.seed,
+            h_name=h_name,
+            jobs=args.jobs,
+        )
+        with open(args.out, "w") as fh:
+            fh.write(rows_to_csv(rows, meta=meta))
+    else:
+        result = gradient_concentration(
+            ModelFamily(family, h, tuple(settings["beta"]), h_name=h_name),
+            settings["n_list"],
+            settings["replicates"],
+            seed=args.seed,
+            sampler_settings=sampler_settings,
+            jobs=args.jobs,
+        )
+        with open(args.out, "w") as fh:
+            fh.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
+            fh.write("n,mean_scaled_grad_sq,replicates,seed\n")
+            for n in settings["n_list"]:
+                fh.write(f"{n},{result[n]!r},{settings['replicates']},{args.seed}\n")
 
 
-def _cmd_diagnose(args) -> int:
-    _check_out(args.out)
+def _cmd_diagnose(args) -> None:
     g = read_graph(args.graph)
     h = _parse_h(args.h)
     cfg = read_configuration(args.config)
@@ -358,14 +291,6 @@ def _cmd_diagnose(args) -> int:
     lam = min_eigenvalue_neg_hessian(colors, g, h, beta)
     subset = neighborhood_disjoint_subset(g, range(g.n), seed=args.seed)
     bound = neighborhood_disjoint_size_bound(g)
-    config = {
-        "graph": args.graph,
-        "h": args.h,
-        "config": args.config,
-        "beta": beta.tolist(),
-        "seed": args.seed,
-        "out": args.out,
-    }
     payload = {
         "degree_stats": {
             "avg_degree": str(stats.avg_degree),
@@ -384,10 +309,9 @@ def _cmd_diagnose(args) -> int:
             "size_bound_float": float(bound),
             "meets_bound": len(subset) >= bound,
         },
-        "meta": _meta("diagnose", config, seed=args.seed),
+        "meta": _meta(args, beta=beta.tolist()),
     }
     _write_json(args.out, payload)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +387,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _check_out(args.out)
+        if getattr(args, "seed", 0) < 0:  # numpy seeds only from non-negative integers
+            raise ParameterError(f"--seed must be non-negative, got {args.seed}")
+        args.func(args)
+        return 0
     except EnumerationCapError as exc:
         print(_error_json(exc))
         return _EXIT_CAP
     except (InfeasibleModelError, FeasibilityUnknownError) as exc:
         print(_error_json(exc))
         return _EXIT_INFEASIBLE
-    except (HColorError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (HColorError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(_error_json(exc))
         return _EXIT_INVALID
 

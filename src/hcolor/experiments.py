@@ -7,10 +7,11 @@ processes execute the blocks.
 """
 from __future__ import annotations
 
+import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -157,6 +158,8 @@ def _sample_replicate_rows(
     output is identical for any ``jobs``.
     """
     total = beta_rows.shape[0]
+    if total == 0:
+        return np.empty((0, g.n), dtype=np.int64)
     model = Model(g, h, beta_rows[0])
     start = find_valid_configuration(g, h, seed=_graph_seed(seed, n_key))
     tasks = []
@@ -168,7 +171,7 @@ def _sample_replicate_rows(
             parts = list(pool.map(_block_worker, tasks))
     else:
         parts = [_block_worker(t) for t in tasks]
-    return np.concatenate(parts, axis=0) if parts else np.empty((0, g.n), dtype=np.int64)
+    return np.concatenate(parts, axis=0)
 
 
 def _resolve_burn_in(sampler_settings: dict | None, n: int) -> int:
@@ -222,10 +225,7 @@ def consistency_experiment(
         g = graph_family.build(n, seed=_graph_seed(seed, n))
         burn = _resolve_burn_in(sampler_settings, g.n)
         beta_rows = np.repeat(np.asarray(beta_list, dtype=np.float64), replicates, axis=0)
-        if replicates > 0:
-            draws = _sample_replicate_rows(g, h, beta_rows, burn, seed, n, jobs=jobs)
-        else:
-            draws = np.empty((0, g.n), dtype=np.int64)
+        draws = _sample_replicate_rows(g, h, beta_rows, burn, seed, n, jobs=jobs)
         for b_idx, beta in enumerate(beta_list):
             block = draws[b_idx * replicates : (b_idx + 1) * replicates]
             if return_samples:
@@ -267,20 +267,19 @@ def consistency_experiment(
 
 
 def rows_to_csv(rows: Sequence[ConsistencyRow], meta: dict | None = None) -> str:
-    """Fixed-header CSV; beta components are ';'-joined inside one field."""
+    """Fixed-header CSV; beta components are ';'-joined inside one field, and
+    a field holding a comma or a quote (an ``h_name``, say) is CSV-quoted."""
     buf = io.StringIO()
     if meta is not None:
         buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write(
-        "n,graph_kind,h_name,beta_true,replicate_count,degenerate_count,"
-        "nonconverged_count,rank_deficient_count,median_scaled_error,q90_scaled_error,seed\n"
-    )
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(field.name for field in fields(ConsistencyRow))
     for r in rows:
-        beta = ";".join(repr(b) for b in r.beta_true)
-        buf.write(
-            f"{r.n},{r.graph_kind},{r.h_name},{beta},{r.replicate_count},"
-            f"{r.degenerate_count},{r.nonconverged_count},{r.rank_deficient_count},"
-            f"{r.median_scaled_error!r},{r.q90_scaled_error!r},{r.seed}\n"
+        writer.writerow(
+            [r.n, r.graph_kind, r.h_name, ";".join(repr(b) for b in r.beta_true),
+             r.replicate_count, r.degenerate_count, r.nonconverged_count,
+             r.rank_deficient_count, repr(r.median_scaled_error),
+             repr(r.q90_scaled_error), r.seed]
         )
     return buf.getvalue()
 

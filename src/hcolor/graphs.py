@@ -284,10 +284,12 @@ def _erdos_renyi(n: int, c: float, rng: np.random.Generator) -> Graph:
     # Geometric edge skipping (Batagelj & Brandes 2005): the gaps between
     # successive present pairs, in the order (1,0), (2,0), (2,1), (3,0), ...,
     # are i.i.d. geometric, so the draw costs O(n + m) instead of O(n^2).
+    # A gap past the last pair ends the draw, so gaps are clipped there: numpy
+    # saturates them at 2^63 - 1 for tiny p, and their sum would overflow.
     chunk = int(p * pairs + 5 * math.sqrt(p * pairs)) + 16
-    gaps = rng.geometric(p, size=chunk)
+    gaps = np.minimum(rng.geometric(p, size=chunk), pairs + 1)
     while gaps.sum() <= pairs:
-        gaps = np.concatenate([gaps, rng.geometric(p, size=chunk)])
+        gaps = np.concatenate([gaps, np.minimum(rng.geometric(p, size=chunk), pairs + 1)])
     index = np.cumsum(gaps) - 1
     index = index[index < pairs]
     # pair index k is (v, w) with v (v - 1) / 2 <= k < v (v + 1) / 2 and w < v

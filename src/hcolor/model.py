@@ -25,6 +25,7 @@ from .graphs import Graph
 __all__ = [
     "ConstraintGraph",
     "Model",
+    "PRESET_NAMES",
     "preset",
     "is_hardcore",
     "is_valid",
@@ -105,7 +106,9 @@ class ConstraintGraph:
         return f"ConstraintGraph(q={self.q}, edges={sorted(self.edges)})"
 
 
-_HARDCORE_EDGES = frozenset({(0, 0), (0, 1)})
+PRESET_NAMES = frozenset(
+    {"hardcore", "multistate_hardcore", "widom_rowlinson", "proper_coloring", "counterexample_h"}
+)
 
 
 def preset(name: str, q: int | None = None) -> ConstraintGraph:
@@ -136,7 +139,7 @@ def preset(name: str, q: int | None = None) -> ConstraintGraph:
 
 
 def is_hardcore(h: ConstraintGraph) -> bool:
-    return h.q == 2 and h.edges == _HARDCORE_EDGES
+    return h == preset("hardcore")
 
 
 class Model:
@@ -285,14 +288,14 @@ def constraint_from_json(text: str) -> ConstraintGraph:
     if not isinstance(payload, dict) or "q" not in payload or "edges" not in payload:
         raise GraphFormatError('constraint JSON must be an object with "q" and "edges"')
     q = payload["q"]
-    if not isinstance(q, int) or q < 2:
+    if type(q) is not int or q < 2:  # JSON true/false parse to bool, not int
         raise GraphFormatError('"q" must be an integer >= 2')
     edges = payload["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [s, t] pairs')
     cleaned = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise GraphFormatError(f"malformed edge entry {e!r}")
         s, t = e
         if s > t:
@@ -328,7 +331,7 @@ def configuration_from_json(text: str) -> np.ndarray:
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     if isinstance(payload, dict) and "configuration" in payload:
         payload = payload["configuration"]
-    if not isinstance(payload, list) or not all(isinstance(c, int) for c in payload):
+    if not isinstance(payload, list) or not all(type(c) is int for c in payload):
         raise GraphFormatError("configuration JSON must be an array of integers")
     return np.asarray(payload, dtype=np.int64)
 

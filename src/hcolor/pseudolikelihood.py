@@ -365,8 +365,10 @@ def mpl_fit(
         b = np.asarray(init, dtype=np.float64).reshape(-1).copy()
         if b.shape != (q - 1,) or not np.all(np.isfinite(b)):
             raise ParameterError("init must be a finite vector of length q-1")
-    if step <= 0:
+    if not step > 0:
         raise ParameterError("step must be positive")
+    if not tol >= 0:  # a negative tol would keep iterating at a zero gradient
+        raise ParameterError("tol must be non-negative")
     flags = [DEGENERATE_NONE] * (q - 1)
     free = np.ones(q - 1, dtype=bool)
 

@@ -61,6 +61,20 @@ def test_estimate_hardcore_closed_form(tmp_path):
     assert report["meta"]["command"] == "estimate"
 
 
+def test_estimate_rejects_boolean_configuration(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run_cli("gen-graph", "--kind", "path", "--params", '{"n": 3}', "--out", str(g))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[true, false, 1]\n")
+    out = tmp_path / "report.json"
+    code = run_cli("estimate", "--graph", str(g), "--h", "hardcore", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"type": "GraphFormatError", "message": "configuration JSON must be an array of integers"}
+    }
+    assert not out.exists()
+
+
 def test_estimate_general_model(tmp_path):
     g = tmp_path / "g.json"
     run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 6}', "--seed", "0", "--out", str(g))
@@ -277,6 +291,8 @@ def test_experiment_rejects_negative_replicates(tmp_path, capsys, kind):
         ("consistency", {"n_list": 12}),
         ("consistency", {"beta": [[0.2], [0.1, 0.3]]}),
         ("consistency", {"burn_in_sweeps": "10"}),
+        ("consistency", {"h_name": None}),
+        ("gradient_concentration", {"h_name": [1]}),
         ("gradient_concentration", {"beta": "0.2"}),
         ("gradient_concentration", {"n_list": ["12"]}),
         ("kl", {"graph": "cycle"}),

@@ -1,7 +1,9 @@
 """Consistency machinery, KL oracle, concentration, and rainbow diagnostics."""
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -227,6 +229,17 @@ def test_csv_output_shape():
     assert lines[2].startswith("12,cycle,h,0.1,3,")
 
 
+def test_csv_quotes_a_comma_in_a_field():
+    row = experiments.ConsistencyRow(
+        n=12, graph_kind="cycle", h_name='a,b "c"', beta_true=(0.2, -0.1), replicate_count=2,
+        degenerate_count=0, nonconverged_count=0, rank_deficient_count=0,
+        median_scaled_error=0.5, q90_scaled_error=float("nan"), seed=3,
+    )
+    header, fields = csv.reader(io.StringIO(rows_to_csv([row])))
+    assert len(header) == len(fields) == 11
+    assert fields == ["12", "cycle", 'a,b "c"', "0.2;-0.1", "2", "0", "0", "0", "0.5", "nan", "3"]
+
+
 def test_consistency_keeps_untrustworthy_fits_out_of_the_quantiles(monkeypatch):
     # the second and third fits are reported as not converged and as rank
     # deficient; each is counted on its own and left out of the errors
@@ -258,6 +271,16 @@ def test_gradient_concentration_forced_model_zero():
     fam = ModelFamily(GraphFamily("complete", {}), COL3, (0.0, 0.0), h_name="coloring")
     out = gradient_concentration(fam, [3], 20, seed=4, sampler_settings={"burn_in_sweeps": 5})
     assert out[3] == 0.0
+
+
+def test_zero_replicates_sample_nothing():
+    fam = GraphFamily("cycle", {})
+    settings = {"burn_in_sweeps": 5}
+    out = gradient_concentration(ModelFamily(fam, HARD, (0.2,)), [12], 0, sampler_settings=settings)
+    assert out == {12: 0.0}
+    (row,) = consistency_experiment(fam, HARD, [0.2], [12], 0, sampler_settings=settings)
+    assert (row.replicate_count, row.degenerate_count) == (0, 0)
+    assert math.isnan(row.median_scaled_error)
 
 
 def test_gradient_concentration_matches_enumeration_at_n2():

@@ -277,6 +277,12 @@ def test_erdos_renyi_pairs_are_independent_coin_flips():
     assert generate("erdos_renyi", {"n": n, "c": 0}, seed=0).edge_count() == 0
 
 
+def test_erdos_renyi_with_tiny_edge_probability_ends():
+    # numpy saturates geometric gaps at 2^63 - 1 for such p; their sum must not wrap
+    for c in [1e-300, 2.2250738585072014e-308]:
+        assert generate("erdos_renyi", {"n": 45, "c": c}, seed=1).edge_count() == 0
+
+
 def test_round_trip_all_kinds(tmp_path):
     for i, (kind, params) in enumerate(ALL_KINDS):
         g = generate(kind, params, seed=i)

@@ -13,6 +13,7 @@ from hcolor.errors import (
 )
 from hcolor.graphs import generate
 from hcolor.model import (
+    PRESET_NAMES,
     ConstraintGraph,
     Model,
     allowed_colors,
@@ -53,8 +54,15 @@ def test_presets():
         preset("unknown")
 
 
+def test_preset_names_are_the_presets():
+    for name in PRESET_NAMES:
+        assert isinstance(preset(name, q=3), ConstraintGraph)
+    assert "hardcore" in PRESET_NAMES and "proper_coloring:3" not in PRESET_NAMES
+
+
 def test_is_hardcore():
     assert is_hardcore(preset("hardcore"))
+    assert is_hardcore(ConstraintGraph(2, [(1, 0), (0, 0)]))
     assert not is_hardcore(preset("proper_coloring", q=2))
 
 
@@ -210,10 +218,15 @@ def test_valid_implies_own_color_allowed():
 def test_constraint_round_trip():
     for h in [preset("hardcore"), preset("widom_rowlinson"), preset("counterexample_h")]:
         assert constraint_from_json(constraint_to_json(h)) == h
-    with pytest.raises(GraphFormatError):
-        constraint_from_json('{"q": 2, "edges": [[1, 0]]}')
-    with pytest.raises(GraphFormatError):
-        constraint_from_json('{"q": 2, "edges": [[0, 2]]}')
+    for text in [
+        '{"q": 2, "edges": [[1, 0]]}',
+        '{"q": 2, "edges": [[0, 2]]}',
+        '{"q": 3, "edges": [[0, true]]}',  # a JSON boolean is not a color
+        '{"q": 3, "edges": [[false, 1]]}',
+        '{"q": true, "edges": []}',
+    ]:
+        with pytest.raises(GraphFormatError):
+            constraint_from_json(text)
 
 
 def test_configuration_round_trip():
@@ -221,7 +234,6 @@ def test_configuration_round_trip():
     assert configuration_from_json(configuration_to_json(cfg)).tolist() == [0, 2, 1]
     # wrapped form with metadata is also readable
     assert configuration_from_json('{"configuration": [1, 0], "meta": {}}').tolist() == [1, 0]
-    with pytest.raises(GraphFormatError):
-        configuration_from_json('{"colors": [1]}')
-    with pytest.raises(GraphFormatError):
-        configuration_from_json('[0, "a"]')
+    for text in ['{"colors": [1]}', '[0, "a"]', "[true, false, 1]", '{"configuration": [0, true]}']:
+        with pytest.raises(GraphFormatError):
+            configuration_from_json(text)

@@ -322,8 +322,9 @@ def test_mpl_fit_root_verified_by_bisection():
 def test_mpl_fit_validates_inputs():
     with pytest.raises(ParameterError):
         mpl_fit([0, 0], K2, HARD, init=[np.nan])
-    with pytest.raises(ParameterError):
-        mpl_fit([0, 0], K2, HARD, step=0.0)
+    for bad in [{"step": 0.0}, {"step": np.nan}, {"tol": -1.0}, {"tol": np.nan}]:
+        with pytest.raises(ParameterError):
+            mpl_fit([0, 1], K2, HARD, **bad)
     with pytest.raises(InvalidConfigurationError):
         mpl_fit([1, 1], K2, HARD)
 
