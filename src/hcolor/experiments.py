@@ -345,6 +345,8 @@ def kl_exact(
     b = np.asarray(beta_b, dtype=np.float64).reshape(-1)
     if a.shape != (h.q - 1,) or b.shape != (h.q - 1,):
         raise ParameterError("activity vectors must have length q-1")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("activity vectors must be finite")
     if method == "brute_force":
         parts = [g]
     elif method == "component_factorized":

@@ -291,13 +291,14 @@ def test_experiment_rejects_negative_replicates(tmp_path, capsys, kind):
         ("consistency", {"n_list": 12}),
         ("consistency", {"beta": [[0.2], [0.1, 0.3]]}),
         ("consistency", {"burn_in_sweeps": "10"}),
-        ("consistency", {"h_name": None}),
-        ("gradient_concentration", {"h_name": [1]}),
         ("gradient_concentration", {"beta": "0.2"}),
         ("gradient_concentration", {"n_list": ["12"]}),
         ("kl", {"graph": "cycle"}),
         ("kl", {"beta_a": "x"}),
         ("kl", {"state_cap": "x"}),
+        ("consistency", {"h_name": None}),
+        ("gradient_concentration", {"h_name": [1]}),
+        ("kl", {"beta_a": [float("nan")]}),  # JSON NaN would reach the artifact
     ],
 )
 def test_experiment_rejects_wrongly_typed_settings(tmp_path, capsys, kind, change):
