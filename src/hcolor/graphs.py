@@ -287,7 +287,7 @@ def _erdos_renyi(n: int, c: float, rng: np.random.Generator) -> Graph:
     # A gap past the last pair ends the draw, so gaps are clipped there: numpy
     # saturates them at 2^63 - 1 for tiny p, and their sum would overflow.
     chunk = int(p * pairs + 5 * math.sqrt(p * pairs)) + 16
-    gaps = np.minimum(rng.geometric(p, size=chunk), pairs + 1)
+    gaps = np.empty(0, dtype=np.int64)
     while gaps.sum() <= pairs:
         gaps = np.concatenate([gaps, np.minimum(rng.geometric(p, size=chunk), pairs + 1)])
     index = np.cumsum(gaps) - 1
