@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -379,6 +380,93 @@ def test_sample_many_beta_rows_match_single_runs_in_law():
     e2 = enumerate_exact(Model(g, HARD, [-1.0])).expected_counts[1]
     assert first == pytest.approx(e1, abs=0.05)
     assert second == pytest.approx(e2, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Pinned engine output: the draws of both engine paths, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _pinned_many(g, h, beta, replicates, sweeps, seed, beta_rows=None):
+    model = Model(g, h, beta)
+    return sample_many(model, replicates, burn_in_sweeps=sweeps, seed=seed, beta_rows=beta_rows)
+
+
+def _pinned_split_chain():
+    model = Model(generate("grid", {"rows": 6, "cols": 7}), preset("widom_rowlinson"), [0.4, -0.1])
+    chain = Chain(model, seed=21).sweep(7).sweep(0).sweep(13)
+    return chain.current[None, :]
+
+
+_Q13 = ConstraintGraph(13, [(s, t) for s in range(13) for t in range(s, 13) if s + t <= 12])
+_RANDOM_ROWS = np.random.default_rng(2).uniform(-1, 1, (17, 11))
+
+# Table path at R = 1, 64, 256 and 2*10**4, the q = 12 table at its 16-group
+# limit, and the on-the-fly path (q = 13, q = 12 with 17 groups, q = 70).
+PINNED_ENGINE_CASES = {
+    "table-R1": lambda: sample(
+        Model(generate("random_regular", {"n": 300, "d": 3}, seed=4), HARD, [0.2]),
+        burn_in_sweeps=30, seed=8,
+    )[None, :],
+    "table-R64": lambda: _pinned_many(
+        generate("random_regular", {"n": 200, "d": 3}, seed=1), preset("widom_rowlinson"),
+        [0.3, -0.2], 64, 20, 3,
+    ),
+    "table-R256-two-groups": lambda: _pinned_many(
+        generate("cycle", {"n": 200}), COL3, [0.0, 0.0], 256, 20, 5,
+        beta_rows=np.repeat([[0.3, -0.3], [-0.2, 0.1]], 128, axis=0),
+    ),
+    "table-R20000": lambda: _pinned_many(PATH3, HARD, [0.4], 20000, 100, 6),
+    "table-isolated-vertices": lambda: _pinned_many(
+        generate("erdos_renyi", {"n": 60, "c": 1.0}, seed=3), COL3, [0.5, -0.5], 32, 15, 4,
+    ),
+    "table-q12-16-groups": lambda: _pinned_many(
+        generate("grid", {"rows": 4, "cols": 5}), preset("proper_coloring", q=12), [0.0] * 11,
+        16, 10, 7, beta_rows=_RANDOM_ROWS[:16],
+    ),
+    "fly-q13": lambda: _pinned_many(
+        generate("path", {"n": 4}), _Q13, np.linspace(-0.6, 0.6, 12), 64, 20, 5,
+    ),
+    "fly-q12-17-groups": lambda: _pinned_many(
+        generate("grid", {"rows": 4, "cols": 5}), preset("proper_coloring", q=12), [0.0] * 11,
+        17, 10, 7, beta_rows=_RANDOM_ROWS,
+    ),
+    "fly-q70": lambda: _pinned_many(
+        generate("path", {"n": 5}), preset("proper_coloring", q=70),
+        np.linspace(-1, 1, 69), 8, 10, 9,
+    ),
+    "chain-split-sweeps": _pinned_split_chain,
+}
+
+PINNED_ENGINE_DIGESTS = {
+    "chain-split-sweeps": "0b26be9ff0bbe673ac5f5ebcfe6f371c5c8340c33b1123701b15447a48bf892f",
+    "fly-q12-17-groups": "916c72dc782469c30f388ae59989139e5b695cdc93a58e9b02553ca17de47fe6",
+    "fly-q13": "93f6cfd08562be89f7976f146696b48a84254ab4eb1720bc47836673da97f05d",
+    "fly-q70": "0814e64f0d8fb4a69bfc3498a31ee4732c5dd8df650f956d669b035424d2f0f2",
+    "table-R1": "b6f3b7afe8a3308b24781cd908ec0ed5ad649f8b6a1399fd79ff65837343becc",
+    "table-R20000": "b835d3499dd3276dbc33bb4b453f4d1753f6374591e17292ba0a6cdd9ee69a5b",
+    "table-R256-two-groups": "119bb371050ce8f0e9352c11d34746ad5a67e54e60edb5bc8b58e8c7e9fdac7c",
+    "table-R64": "28c9c9caa62f6e03a3804f9c27136270de857848b6edbfb877325709ca219951",
+    "table-isolated-vertices": "00309f04f9bb7e545101ffd4dfb37d631e5c0a59e9dad229d84038439cc5f464",
+    "table-q12-16-groups": "9613bfb30e22e7d70646f70745dd9814121354aa4725d8e046931c048b57598f",
+}
+
+
+def test_table_boundary_is_the_group_count_times_two_to_the_q():
+    from hcolor.sampler import _Engine
+
+    model = Model(generate("path", {"n": 3}), preset("proper_coloring", q=12), [0.0] * 11)
+    assert _Engine(model, _RANDOM_ROWS[:16], 16).table is not None
+    assert _Engine(model, _RANDOM_ROWS, 17).table is None
+    assert _Engine(Model(PATH3, _Q13, [0.0] * 12), None, 1).table is None
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ENGINE_CASES))
+def test_engine_draws_match_pinned_digests(case):
+    draws = PINNED_ENGINE_CASES[case]()
+    assert draws.dtype == np.int64
+    digest = hashlib.sha256(repr(draws.shape).encode() + draws.tobytes()).hexdigest()
+    assert digest == PINNED_ENGINE_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------------
