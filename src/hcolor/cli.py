@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -64,6 +66,12 @@ from .sampler import DEFAULT_STATE_CAP, enumerate_exact, sample
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option looks like a number, so a value such as "-0.1,0.2" or
+        # "-1e-3" after a flag is that flag's value, as in "--beta=-0.1,0.2".
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # route usage errors through the exit-code map
         raise ParameterError(message)
 
@@ -180,9 +188,10 @@ def _is_int(x) -> bool:
 
 
 def _is_vector(x) -> bool:
-    """A JSON list of numbers."""
+    """A JSON list of finite numbers (JSON as Python reads it admits NaN and
+    Infinity)."""
     return isinstance(x, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in x
     )
 
 
@@ -204,7 +213,7 @@ def _check_experiment_settings(settings: dict, kind) -> None:
         raise ParameterError(f'"h_name" must be a string, got {settings["h_name"]!r}')
     if kind == "kl":
         if not (_is_vector(settings.get("beta_a")) and _is_vector(settings.get("beta_b"))):
-            raise ParameterError('"beta_a" and "beta_b" must be lists of numbers')
+            raise ParameterError('"beta_a" and "beta_b" must be lists of finite numbers')
         if not _is_int(settings.get("state_cap", DEFAULT_STATE_CAP)):
             raise ParameterError('"state_cap" must be an integer')
         return
@@ -221,7 +230,9 @@ def _check_experiment_settings(settings: dict, kind) -> None:
     nested = kind == "consistency" and isinstance(beta, list) and beta and isinstance(beta[0], list)
     rows = beta if nested else [beta]
     if not (all(_is_vector(row) for row in rows) and len({len(row) for row in rows}) == 1):
-        raise ParameterError(f'"beta" must be a number list or equal-length number lists, got {beta!r}')
+        raise ParameterError(
+            f'"beta" must be a finite-number list or equal-length finite-number lists, got {beta!r}'
+        )
 
 
 def _cmd_experiment(args) -> None:

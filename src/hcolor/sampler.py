@@ -7,7 +7,11 @@ vertices are split once per graph into the classes of a greedy proper
 coloring (:attr:`Graph.color_classes`); one *sweep* is one pass over these
 classes, resampling all vertices of a class at once, which is exact because
 they share no edge. Every vertex is updated once per sweep, and a chain
-reaches the same states as under single-site moves.
+reaches the same states as under single-site moves. A class update reads the
+neighbors' color set at each vertex and replicate, one bit per color; for
+q <= 12 that set indexes a table of cumulative color weights, built once per
+distinct activity row (one table when every replicate carries the model's
+activities), and for larger q the weights are formed from the set.
 
 Caveat: for some hard-constraint models single-site moves, and so this
 chain, are not irreducible (e.g. the six proper 3-colorings of a triangle are
@@ -148,8 +152,10 @@ def find_valid_configuration(
 # Chromatic block heat-bath engine over replicate rows
 # ---------------------------------------------------------------------------
 
-# The cumulative-weight lookup table has one row per pair of a distinct
-# activity row and an allowed-color mask: 2**q masks, at most 2**16 rows.
+# The cumulative-weight lookup table serves at most 2**16 pairs of a distinct
+# activity row and an allowed-color mask (2**q masks); it is keyed by the
+# neighbors' color set, 2**(q+1) keys per activity row. The two paths round
+# differently, so moving this boundary would change samples.
 _TABLE_MAX_Q = 12
 _TABLE_MAX_ROWS = 1 << 16
 
@@ -167,40 +173,58 @@ class _Engine:
     conditional resample. Each row consumes its own uniforms, so replicates
     are mutually independent (rows may even carry different activities).
 
-    The allowed set at a vertex is the AND of per-neighbor-color bitmasks,
-    packed little-endian into bytes. With q <= 12 and few distinct activity
-    rows it indexes a table of normalized cumulative color weights; otherwise
-    the cumulative weights are formed from the mask bits at each update.
+    Each class update first forms the neighbors' color set at every (vertex,
+    row): the OR of ``1 << color`` over the padded neighbor block, with the
+    sentinel at bit q, in ``q // 64 + 1`` words. Color s is allowed when the
+    set holds no color that s may not sit next to. With q <= 12 and few
+    distinct activity rows the set indexes a table of normalized cumulative
+    color weights, one row per (activity group, set) pair; otherwise the
+    cumulative weights are formed from the set at each update. Without
+    ``beta_rows`` every row carries the model's activities: one group.
     """
 
     def __init__(self, model: Model, beta_rows: np.ndarray | None, replicates: int):
         g, q = model.graph, model.q
         self.q = q
         self.dtype = np.min_scalar_type(q)
-        self.blocks = [(cls, g.padded_adjacency[cls]) for cls in g.color_classes]
-        # bit s of nbr_bits[t]: color s tolerates neighbor color t; t = q is the sentinel
-        tolerates = np.ones((q + 1, q), dtype=bool)
-        tolerates[:q] = model.h.allow_matrix.T
-        self.nbr_bits = np.packbits(tolerates, axis=1, bitorder="little")  # (q+1, bytes)
-        self.log_w = self._log_weights(model, beta_rows, replicates)  # (R, q), row max 0
-        groups, inverse = np.unique(self.log_w, axis=0, return_inverse=True)
+        self.blocks = [(cls, g.padded_adjacency[cls].T.copy()) for cls in g.color_classes]
+        self.words = q // 64 + 1
+        self.word_dtype = np.min_scalar_type(1 << q) if self.words == 1 else np.dtype(np.uint64)
+        # bit t of forbidden[t >> 6, s]: color s may not sit next to color t;
+        # the sentinel bit q is never set
+        forbid = [sum(1 << t for t in np.flatnonzero(~row).tolist()) for row in model.h.allow_matrix]
+        self.forbidden = np.array(
+            [[f >> 64 * w & (1 << 64) - 1 for f in forbid] for w in range(self.words)],
+            dtype=self.word_dtype,
+        )  # (words, q)
+        self.log_w = self._log_weights(model, beta_rows, replicates)  # (R or 1, q), row max 0
+        if beta_rows is None:
+            groups, inverse = self.log_w, None
+        else:
+            groups, inverse = np.unique(self.log_w, axis=0, return_inverse=True)
         self.table = None
         if q <= _TABLE_MAX_Q and groups.shape[0] << q <= _TABLE_MAX_ROWS:
-            bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1 == 1  # (2**q, q)
-            lw = np.where(bits, groups[:, None, :], -np.inf)  # (G, 2**q, q)
+            masks = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1 == 1  # (2**q, q)
+            lw = np.where(masks, groups[:, None, :], -np.inf)  # (G, 2**q, q)
             lw[:, 0, :] = 0.0  # mask 0 never occurs: the current color is always allowed
             cum = np.cumsum(np.exp(lw - lw.max(axis=2, keepdims=True)), axis=2)
-            self.table = (cum[..., :-1] / cum[..., -1:]).reshape(-1, q - 1).T.copy()
-            self.group_offset = inverse.reshape(-1).astype(np.intp) << q  # (R,)
+            by_mask = cum[..., :-1] / cum[..., -1:]  # (G, 2**q, q-1)
+            sets = np.arange(2 << q, dtype=self.word_dtype)
+            mask_of_set = ((sets[:, None] & self.forbidden[0]) == 0) @ (1 << np.arange(q))
+            # row (group, set) holds the floats of row (group, allowed mask of set)
+            self.table = by_mask[:, mask_of_set].reshape(-1, q - 1).T.copy()  # (q-1, G * 2**(q+1))
+            self.group_offset = 0 if inverse is None else inverse.reshape(-1).astype(np.intp) << q + 1
 
     @staticmethod
     def _log_weights(model: Model, beta_rows: np.ndarray | None, replicates: int) -> np.ndarray:
         if beta_rows is None:
-            full = np.tile(model.beta_full, (replicates, 1))
+            full = model.beta_full[None, :]
         else:
             rows = np.asarray(beta_rows, dtype=np.float64)
             if rows.shape != (replicates, model.q - 1):
                 raise ParameterError("beta_rows must have shape (replicates, q-1)")
+            if not np.isfinite(rows).all():
+                raise ParameterError("beta_rows entries must be finite")
             full = np.concatenate([np.zeros((replicates, 1)), rows], axis=1)
         return full - full.max(axis=1, keepdims=True)
 
@@ -209,38 +233,63 @@ class _Engine:
         R = colors.shape[1]
         for _ in range(sweeps):
             for cls, nbrs in self.blocks:
-                unis = rng.random((R, cls.shape[0])).T  # one uniform per (row, vertex)
-                mask = np.bitwise_and.reduce(self.nbr_bits.take(colors[nbrs], axis=0), axis=1)
-                cums, targets = self._cumulative(mask, unis)
-                new = np.zeros(unis.shape, dtype=self.dtype)
-                for cum in cums:
-                    new += cum < targets
-                colors[cls] = new
+                # one uniform per (row, vertex), laid out (vertex, row) like the lookups
+                unis = np.ascontiguousarray(rng.random((R, cls.shape[0])).T)
+                sets = self._color_sets(colors, nbrs)
+                colors[cls] = self._draw(sets, unis)
 
-    def _cumulative(self, mask: np.ndarray, unis: np.ndarray):
-        """Cumulative weights of colors 0..q-2 at each (vertex, row) of a class
-        update, one (k, R) array per color, and the draw targets they are
-        compared against: the new color is the number of entries below it."""
+    def _color_sets(self, colors: np.ndarray, nbrs: np.ndarray) -> list[np.ndarray]:
+        """The neighbors' color set at each (vertex, row) of a class update,
+        as ``self.words`` (k, R) words: bit t of word t >> 6 is set when some
+        neighbor has color t. ``nbrs`` is the (degree, k) padded block."""
+        sets = None
+        for col in nbrs:
+            c = colors.take(col, axis=0)
+            if self.words == 1:
+                bits = [np.left_shift(1, c, dtype=self.word_dtype)]
+            else:
+                bit, word = np.left_shift(1, c & 63, dtype=np.uint64), c >> 6
+                bits = [np.where(word == w, bit, 0) for w in range(self.words)]
+            if sets is None:
+                sets = bits
+            else:
+                for s, b in zip(sets, bits):
+                    s |= b
+        return sets
+
+    def _draw(self, sets: list[np.ndarray], unis: np.ndarray) -> np.ndarray:
+        """New colors at each (vertex, row): the number of cumulative weights
+        of colors 0..q-2 below the draw target."""
         if self.table is not None:
-            key = self.group_offset + mask[..., 0]
-            if mask.shape[-1] > 1:
-                key += mask[..., 1].astype(np.intp) << 8
-            return (col.take(key) for col in self.table), unis
+            key = np.add(sets[0], self.group_offset, dtype=np.intp)
+            new = np.empty(unis.shape, dtype=np.uint8)
+            np.less(self.table[0].take(key), unis, out=new.view(bool))
+            below = np.empty(unis.shape, dtype=bool)
+            for col in self.table[1:]:
+                np.less(col.take(key), unis, out=below)
+                new += below.view(np.uint8)
+            return new
         q, lw = self.q, self.log_w
-
-        def allowed(s):
-            return (mask[..., s >> 3] >> (s & 7)) & 1 == 1
+        allowed = []
+        for s in range(q):
+            ok = (sets[0] & self.forbidden[0, s]) == 0
+            for w in range(1, self.words):
+                ok &= (sets[w] & self.forbidden[w, s]) == 0
+            allowed.append(ok)
 
         # shift by the largest allowed log-weight so no allowed color underflows
         top = np.full(unis.shape, -np.inf)
         for s in range(q):
-            np.maximum(top, np.where(allowed(s), lw[:, s], -np.inf), out=top)
+            np.maximum(top, np.where(allowed[s], lw[:, s], -np.inf), out=top)
 
         def weight(s):
-            return np.exp(np.where(allowed(s), lw[:, s] - top, -np.inf))
+            return np.exp(np.where(allowed[s], lw[:, s] - top, -np.inf))
 
-        total = sum(weight(s) for s in range(q))
-        return itertools.accumulate(weight(s) for s in range(q - 1)), unis * total
+        targets = unis * sum(weight(s) for s in range(q))
+        new = np.zeros(unis.shape, dtype=self.dtype)
+        for cum in itertools.accumulate(weight(s) for s in range(q - 1)):
+            new += cum < targets
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +430,12 @@ def _color_counts(states: np.ndarray, q: int) -> np.ndarray:
 
 def _log_partition(counts: np.ndarray, beta_full: np.ndarray) -> tuple[float, np.ndarray]:
     """Log-partition function and state probabilities for log-weights
-    ``counts @ beta_full``, by a shifted log-sum-exp."""
-    log_w = counts @ beta_full
+    ``counts @ beta_full``, by a shifted log-sum-exp. Raises
+    :class:`ParameterError` when a log-weight overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = counts @ beta_full
+    if not np.isfinite(log_w).all():
+        raise ParameterError("the log-weights (color counts times activities) overflow")
     m = log_w.max()
     z = np.exp(log_w - m)
     return float(m + np.log(z.sum())), z / z.sum()

@@ -167,6 +167,37 @@ def test_exact_command(tmp_path):
     assert len(payload["expected_unconstrained"]) == 2
 
 
+def test_exact_rejects_overflowing_log_weights(tmp_path, capsys):
+    # 3 * 1e308 overflows: the counts times the activities must stay finite
+    g = tmp_path / "g.json"
+    run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 6}', "--out", str(g))
+    out = tmp_path / "exact.json"
+    code = run_cli("exact", "--graph", str(g), "--h", "hardcore", "--beta", "1e308", "--out", str(out))
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--graph", "g.json", "--h", "proper_coloring:3", "--burnin", "5", "--seed", "1"),
+        ("exact", "--graph", "g.json", "--h", "proper_coloring:3"),
+    ],
+)
+def test_negative_beta_parses_in_both_spellings(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 8}', "--out", "g.json") == 0
+    artifacts = []
+    for beta in (["--beta", "-0.1,0.2"], ["--beta=-0.1,0.2"]):
+        assert run_cli(*argv, *beta, "--out", "out.json") == 0
+        artifacts.append((tmp_path / "out.json").read_bytes())
+        (tmp_path / "out.json").unlink()
+    assert artifacts[0] == artifacts[1]
+    assert json.loads(artifacts[0])["meta"]["config"]["beta"] == [-0.1, 0.2]
+
+
 def test_exact_cap_exit_code(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli("gen-graph", "--kind", "grid", "--params", '{"rows": 4, "cols": 5}', "--seed", "0", "--out", str(g))
@@ -299,6 +330,9 @@ def test_experiment_rejects_negative_replicates(tmp_path, capsys, kind):
         ("consistency", {"h_name": None}),
         ("gradient_concentration", {"h_name": [1]}),
         ("kl", {"beta_a": [float("nan")]}),  # JSON NaN would reach the artifact
+        ("consistency", {"h": "proper_coloring:3", "beta": [[0.1, 0.0], [float("nan"), 0]]}),
+        ("consistency", {"beta": [[0.2], [float("inf")]]}),
+        ("gradient_concentration", {"beta": [float("-inf")]}),
     ],
 )
 def test_experiment_rejects_wrongly_typed_settings(tmp_path, capsys, kind, change):

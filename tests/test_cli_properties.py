@@ -186,8 +186,11 @@ def _invocation(draw, files):
         else:
             flags["--seed"] = seed
     flags["--out"] = path(["out.json"], ["nowhere/out.json", "dir"])
-    # the --flag=value form, because a value such as a beta list may start with '-'
-    argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    # "--flag value" or "--flag=value"; a value such as a beta list may start with '-'
+    if draw(st.booleans()):
+        argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    else:
+        argv = [command] + [str(x) for f, v in flags.items() if v is not None for x in (f, v)]
     return argv, text
 
 

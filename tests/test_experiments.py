@@ -66,6 +66,14 @@ def test_kl_rejects_bad_method_and_shapes():
         kl_exact(g, HARD, [0.0, 1.0], [0.0])
 
 
+def test_kl_rejects_overflowing_log_weights():
+    g = generate("cycle", {"n": 6})
+    for method in ("brute_force", "component_factorized"):
+        for a, b in (([1e308], [0.0]), ([0.0], [-1e308])):
+            with pytest.raises(ParameterError, match="overflow"):
+                kl_exact(g, HARD, a, b, method=method)
+
+
 def test_kl_infeasible_model_raises_infeasible():
     # no proper 2-coloring of a triangle exists, whole or as a component
     g = generate("complete", {"n": 3})

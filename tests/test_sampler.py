@@ -15,6 +15,7 @@ from hcolor.errors import (
     FeasibilityUnknownError,
     InfeasibleModelError,
     InvalidConfigurationError,
+    ParameterError,
 )
 from hcolor.graphs import generate, induced_subgraph
 from hcolor.model import ConstraintGraph, Model, is_valid, preset
@@ -235,6 +236,36 @@ def test_engine_randomness_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_engine_memory_on_the_consistency_cell():
+    # 3-coloring of the 1000-cycle, 256 rows in two activity groups
+    model = Model(generate("cycle", {"n": 1000}), COL3, [0.0, 0.0])
+    rows = np.repeat([[0.3, -0.3], [-0.2, 0.1]], 128, axis=0)
+    start = find_valid_configuration(model.graph, model.h)
+    tracemalloc.start()
+    try:
+        sample_many(model, 256, burn_in_sweeps=20, seed=1, start=start, beta_rows=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_many_rejects_non_finite_beta_rows(bad):
+    model = Model(generate("cycle", {"n": 6}), COL3, [0.0, 0.0])
+    with pytest.raises(ParameterError, match="finite"):
+        sample_many(model, 4, 10, beta_rows=[[bad, 0.0]] * 4)
+    with pytest.raises(ParameterError, match="finite"):
+        sample_many(model, 2, 10, beta_rows=[[0.0, 0.0], [0.0, bad]])
+
+
+def test_exact_layer_rejects_overflowing_log_weights():
+    model = Model(generate("cycle", {"n": 6}), HARD, [1e308])
+    with pytest.raises(ParameterError, match="overflow"):
+        enumerate_exact(model)
+    assert enumerate_exact(Model(model.graph, HARD, [1e300])).expected_counts[1] == 3.0
 
 
 def test_zero_sweeps_leaves_chain_unchanged():
