@@ -623,6 +623,74 @@ def test_exact_checks_where_q_to_the_n_overflows_int64():
     assert is_glauber_irreducible(model, summary) is False
 
 
+# The exact oracles' answers, pinned by repr: the models of the benchmark's
+# exact workload at fixed activities, hardcore at activities e**(+-700), q = 13,
+# 2**70 colorings and the frozen triangle. Each row: label, number of states,
+# irreducible, detailed-balance violation of the exact law and of a skewed law.
+PINNED_EXACT_SHAPES = [
+    ("hardcore", None, "cycle", 16), ("hardcore", None, "grid3", 5),
+    ("widom_rowlinson", None, "path", 9), ("widom_rowlinson", None, "grid3", 3),
+    ("multistate_hardcore", 2, "cycle", 10), ("multistate_hardcore", 2, "grid3", 3),
+    ("proper_coloring", 3, "cycle", 12), ("proper_coloring", 3, "grid3", 4),
+    ("counterexample_h", None, "path", 10), ("counterexample_h", None, "cycle", 10),
+    ("hardcore", None, "path", 3), ("hardcore", None, "cycle", 4),
+    ("widom_rowlinson", None, "path", 2), ("multistate_hardcore", 2, "path", 2),
+]
+PINNED_EXACT_VALUES = [
+    ("hardcore cycle 16", 2207, True, 3.3881317890172014e-21, 1.5289510836315664e-05),
+    ("hardcore grid3 5", 827, True, 1.4456028966473392e-20, 5.1436152909955314e-05),
+    ("widom_rowlinson path 9", 3363, True, 2.4093381610788986e-20, 3.063705450743567e-05),
+    ("widom_rowlinson grid3 3", 2021, True, 4.818676322157797e-20, 7.108771590742802e-05),
+    ("multistate_hardcore cycle 10", 3281, True, 3.252606517456513e-20, 3.442182176325403e-05),
+    ("multistate_hardcore grid3 3", 1164, True, 4.818676322157797e-20, 8.354430836607577e-05),
+    ("proper_coloring cycle 12", 4098, False, 9.03501810404587e-21, 1.5758521692827806e-05),
+    ("proper_coloring grid3 4", 1122, True, 2.710505431213761e-20, 5.456005024775336e-05),
+    ("counterexample_h path 10", 4008, True, 1.0842021724855045e-20, 1.8310305272909442e-05),
+    ("counterexample_h cycle 10", 2368, False, 1.0842021724855045e-20, 2.6607626777182762e-05),
+    ("hardcore path 3", 5, True, 4.625929269271485e-18, 0.009219667801675033),
+    ("hardcore cycle 4", 7, True, 0.0, 0.005808084889660368),
+    ("widom_rowlinson path 2", 7, True, 6.938893903907228e-18, 0.011546134839177581),
+    ("multistate_hardcore path 2", 6, True, 6.938893903907228e-18, 0.012921881222122983),
+    ("hardcore cycle 6 +700", 18, True, 0.0, 1.760656525671389e-306),
+    ("hardcore cycle 6 -700", 18, True, 0.0, 9.859676543759773e-306),
+    ("13-coloring path 3", 1872, True, 3.614007241618348e-20, 3.9707761010612265e-05),
+    ("2-coloring path 70", 2, False, 0.0, 0.0),
+    ("3-coloring triangle", 6, False, 0.0, 0.0),
+]
+
+
+def _pinned_exact_models():
+    for name, q, kind, n in PINNED_EXACT_SHAPES:
+        h = preset(name, q=q)
+        g = generate("grid", {"rows": n, "cols": 3}) if kind == "grid3" else generate(kind, {"n": n})
+        yield f"{name} {kind} {n}", Model(g, h, [0.3, -0.2, 0.1][: h.q - 1])
+    c6 = generate("cycle", {"n": 6})
+    yield "hardcore cycle 6 +700", Model(c6, HARD, [700.0])
+    yield "hardcore cycle 6 -700", Model(c6, HARD, [-700.0])
+    yield "13-coloring path 3", Model(PATH3, preset("proper_coloring", q=13), np.linspace(-0.6, 0.6, 12))
+    yield "2-coloring path 70", Model(generate("path", {"n": 70}), preset("proper_coloring", q=2), [0.3])
+    yield "3-coloring triangle", Model(TRIANGLE, COL3, [0.3, -0.3])
+
+
+def test_exact_oracles_match_pinned_values():
+    got = []
+    for label, model in _pinned_exact_models():
+        summary = enumerate_exact(model)
+        S = summary.states.shape[0]
+        skewed = summary.probabilities * (1 + np.arange(S) % 7 / 10)
+        wrong = dataclasses.replace(summary, probabilities=skewed / skewed.sum())
+        got.append((
+            label,
+            S,
+            is_glauber_irreducible(model, summary),
+            max_detailed_balance_violation(model, summary),
+            max_detailed_balance_violation(model, wrong),
+        ))
+    assert [tuple(map(repr, row)) for row in got] == [
+        tuple(map(repr, row)) for row in PINNED_EXACT_VALUES
+    ]
+
+
 def test_enumerate_infeasible_model():
     with pytest.raises(InfeasibleModelError):
         enumerate_exact(Model(TRIANGLE, preset("proper_coloring", q=2), [0.0]))
