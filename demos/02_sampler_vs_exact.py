@@ -32,7 +32,7 @@ for name, model in models:
     irreducible = is_glauber_irreducible(model, summary)
     line = f"{name}: {states} states, balance violation {balance:.1e}, irreducible={irreducible}"
     if irreducible:
-        tv = tv_distance_empirical(model, sweeps=200, replicates=20000, seed=1)
+        tv = tv_distance_empirical(model, sweeps=200, replicates=20000, seed=1, summary=summary)
         line += f", TV after burn-in {tv:.4f}"
     else:
         # e.g. every proper 3-coloring of a triangle is frozen: single-site

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -361,6 +363,8 @@ def sample_many(
         raise ParameterError("replicates must be nonnegative")
     if burn_in_sweeps is None:
         burn_in_sweeps = default_burn_in(model.n)
+    if burn_in_sweeps < 0:
+        raise ParameterError("burn-in sweeps must be nonnegative")
     if start is None:
         base_seed = seed if isinstance(seed, (int, np.integer)) else 0
         start = find_valid_configuration(model.graph, model.h, seed=int(base_seed))
@@ -384,18 +388,68 @@ class ExactSummary:
 
     ``states`` is the (S, n) array of all valid configurations in
     lexicographic order (in the smallest unsigned dtype that holds q) and
-    ``probabilities`` their probabilities;
-    ``state_probabilities`` maps each configuration (as a tuple) to its
-    probability. ``expected_counts[r]`` and ``expected_unconstrained[r]`` are
-    the exact means of the color counts and the allowed-at counts.
+    ``probabilities`` their probabilities. ``expected_counts[r]`` and
+    ``expected_unconstrained[r]`` are the exact means of the color counts and
+    the allowed-at counts. ``allowed`` is the (S, n, q) array of allowed
+    sets: entry (i, u, s) says vertex u of state i may take color s given the
+    rest of it. ``model`` is the model that was enumerated.
+
+    Everything here but ``probabilities`` and what follows from them is
+    independent of the activities; the exact checks read the allowed sets
+    and one list of the single-site moves between the states, built at the
+    first check that needs it and shared by every later one.
     """
 
     log_partition: float
-    state_probabilities: dict[tuple[int, ...], float]
     expected_counts: np.ndarray
     expected_unconstrained: np.ndarray
     states: np.ndarray
     probabilities: np.ndarray
+    allowed: np.ndarray
+    model: Model
+
+    @property
+    def state_probabilities(self) -> Mapping[tuple[int, ...], float]:
+        """Read-only mapping view from each state, as a tuple, to its
+        probability, iterating in lexicographic order; nothing is copied."""
+        return _StateTable(self.states, self.probabilities)
+
+    @cached_property
+    def _moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _single_site_moves(self.states, self.allowed)
+
+
+class _StateTable(Mapping):
+    """Read-only mapping view over the rows of an (S, n) state array and their
+    probabilities. Keys are tuples of n integer colors; lookup is a binary
+    search over the lexicographically ordered rows."""
+
+    _CHUNK = 4096  # rows converted to tuples at a time while iterating
+
+    def __init__(self, states: np.ndarray, probabilities: np.ndarray):
+        self._states = states
+        self._probabilities = probabilities
+
+    def __len__(self) -> int:
+        return self._states.shape[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), self._CHUNK):
+            yield from map(tuple, self._states[lo : lo + self._CHUNK].tolist())
+
+    def __getitem__(self, key) -> float:
+        row = np.asarray(key) if isinstance(key, tuple) else None
+        if (
+            row is None
+            or row.shape != self._states.shape[1:]
+            or row.dtype.kind not in "biu"
+            or ((row < 0) | (row > np.iinfo(self._states.dtype).max)).any()
+        ):
+            raise KeyError(key)
+        k = int(_lookup(self._states, row[None])[0])
+        if k == len(self) or not np.array_equal(self._states[k], row):
+            raise KeyError(key)
+        return float(self._probabilities[k])
 
 
 def _enumerate_states(g: Graph, h: ConstraintGraph, cap: int) -> np.ndarray:
@@ -453,10 +507,9 @@ def enumerate_exact(model: Model, state_cap: int = DEFAULT_STATE_CAP) -> ExactSu
     states = _enumerate_states(model.graph, model.h, state_cap)
     counts = _color_counts(states, model.q)
     log_partition, probs = _log_partition(counts, model.beta_full)
-    allowed_counts = _allowed_sets(states, model.graph, model.h).sum(axis=1)
-    table = dict(zip(map(tuple, states.tolist()), probs.tolist()))
+    allowed = _allowed_sets(states, model.graph, model.h)
     return ExactSummary(
-        log_partition, table, probs @ counts, probs @ allowed_counts, states, probs
+        log_partition, probs @ counts, probs @ allowed.sum(axis=1), states, probs, allowed, model
     )
 
 
@@ -478,23 +531,52 @@ def _lookup(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _single_site_moves(states: np.ndarray, allowed: np.ndarray):
     """Every single-site move between enumerated states, as index arrays
-    (i, u, c, j): recoloring vertex u of state i to the allowed color c,
-    other than its own, gives state j."""
-    S, n = states.shape
-    other = allowed.copy()
-    other[np.arange(S)[:, None], np.arange(n), states] = False
+    (i, u, c, j) in increasing order of (i, u, c): recoloring vertex u of
+    state i to the allowed color c, other than its own, gives state j."""
+    other = allowed & (states[..., None] != np.arange(allowed.shape[2], dtype=states.dtype))
     i, u, c = np.nonzero(other)
     rows = states[i]
     rows[np.arange(i.size), u] = c
     return i, u, c, _lookup(states, rows)
 
 
+def _summary_of(model: Model, summary: ExactSummary | None) -> ExactSummary:
+    """``summary``, checked to be the enumeration of ``model`` (same graph,
+    constraint graph and activities), or a new enumeration when it is None."""
+    if summary is None:
+        return enumerate_exact(model)
+    own = summary.model
+    if own is model:
+        return summary
+    g, other = own.graph, model.graph
+    if g is not other and not (
+        g.n == other.n
+        and np.array_equal(g.indptr, other.indptr)
+        and np.array_equal(g.indices, other.indices)
+    ):
+        raise ParameterError("the exact summary was enumerated on a different graph")
+    if own.h != model.h:
+        raise ParameterError("the exact summary was enumerated for a different constraint graph")
+    if not np.array_equal(own.beta_full, model.beta_full):
+        raise ParameterError("the exact summary was enumerated at different activities")
+    return summary
+
+
 def tv_distance_empirical(
-    model: Model, sweeps: int, replicates: int, seed: int = 0
+    model: Model,
+    sweeps: int,
+    replicates: int,
+    seed: int = 0,
+    summary: ExactSummary | None = None,
 ) -> float:
     """Total-variation distance between the empirical law of independent
-    chains (all started from one fixed configuration) and the exact law."""
-    summary = enumerate_exact(model)
+    chains (all started from one fixed configuration) and the exact law.
+    ``summary`` is ``model``'s enumeration, made here when omitted."""
+    if sweeps < 0:
+        raise ParameterError("sweeps must be nonnegative")
+    if replicates < 1:
+        raise ParameterError("replicates must be positive")
+    summary = _summary_of(model, summary)
     start = find_valid_configuration(model.graph, model.h, seed=seed)
     draws = sample_many(model, replicates, burn_in_sweeps=sweeps, seed=seed, start=start)
     hits = np.bincount(_lookup(summary.states, draws), minlength=summary.states.shape[0])
@@ -504,11 +586,9 @@ def tv_distance_empirical(
 def is_glauber_irreducible(model: Model, summary: ExactSummary | None = None) -> bool:
     """Check by explicit reachability that single-site moves connect the
     enumerated state space, searching breadth-first from the first state."""
-    if summary is None:
-        summary = enumerate_exact(model)
-    states = summary.states
-    i, _, _, j = _single_site_moves(states, _allowed_sets(states, model.graph, model.h))
-    seen = np.arange(states.shape[0]) == 0
+    summary = _summary_of(model, summary)
+    i, _, _, j = summary._moves
+    seen = np.arange(summary.states.shape[0]) == 0
     reached = 0
     while seen.sum() > reached:  # one breadth-first level per pass
         reached = seen.sum()
@@ -521,12 +601,17 @@ def max_detailed_balance_violation(
 ) -> float:
     """Max |P(s) K(s->t) - P(t) K(t->s)| over single-site transition pairs,
     where K picks a vertex uniformly and redraws it from its conditional law."""
-    if summary is None:
-        summary = enumerate_exact(model)
+    summary = _summary_of(model, summary)
     states, p = summary.states, summary.probabilities
-    allowed = _allowed_sets(states, model.graph, model.h)
-    law = _conditional_law(allowed, model.beta_full)  # (S, n, q)
-    i, u, c, j = _single_site_moves(states, allowed)
-    flow = p[i] * law[i, u, c]
-    back = p[j] * law[j, u, states[i, u]]
+    i, u, c, j = summary._moves
+    # A vertex's allowed set, and so its conditional law, does not depend on
+    # its own color: a move and its reverse read one law row, and the rows are
+    # formed only at the (state, vertex) pairs where some move starts.
+    source = i * model.n + u
+    first = np.ones(source.size, dtype=bool)
+    first[1:] = source[1:] != source[:-1]  # moves come grouped by source
+    law = _conditional_law(summary.allowed.reshape(-1, model.q)[source[first]], model.beta_full)
+    row = np.cumsum(first) - 1
+    flow = p[i] * law[row, c]
+    back = p[j] * law[row, states[i, u]]
     return float(np.abs(flow - back).max(initial=0.0)) / model.n

@@ -165,7 +165,7 @@ def test_criterion_03_sampler_detailed_balance_and_tv():
         if tv_checked:
             assert is_glauber_irreducible(model, summary), name
             tv = tv_distance_empirical(
-                model, sweeps=default_burn_in(model.n), replicates=20000, seed=SEED
+                model, sweeps=default_burn_in(model.n), replicates=20000, seed=SEED, summary=summary
             )
             assert tv < 0.02, (name, tv)
     print("PASS criterion 3: detailed balance <= 1e-10 everywhere; TV < 0.02 on irreducible set")

@@ -18,6 +18,7 @@ from hcolor.errors import (
     ParameterError,
 )
 from hcolor.graphs import generate, induced_subgraph
+from hcolor import sampler as sampler_module
 from hcolor.model import ConstraintGraph, Model, is_valid, preset
 from hcolor.sampler import (
     Chain,
@@ -689,6 +690,112 @@ def test_exact_oracles_match_pinned_values():
     assert [tuple(map(repr, row)) for row in got] == [
         tuple(map(repr, row)) for row in PINNED_EXACT_VALUES
     ]
+
+
+def test_state_table_is_a_read_only_view():
+    model = Model(generate("grid", {"rows": 3, "cols": 3}), preset("widom_rowlinson"), [0.2, -0.4])
+    summary = enumerate_exact(model)
+    table = summary.state_probabilities
+    eager = dict(zip(map(tuple, summary.states.tolist()), summary.probabilities.tolist()))
+    assert dict(table) == eager
+    assert list(table) == list(eager)  # lexicographic order
+    assert len(table) == len(eager) == summary.states.shape[0]
+    first = next(iter(eager))
+    assert table[first] == eager[first] and type(table[first]) is float
+    assert table[tuple(np.array(first, dtype=np.int64))] == eager[first]
+    absent = (1, 2) + (0,) * 7  # two species side by side
+    assert absent not in eager
+    for key in [absent, first[:-1], first + (0,), (3,) * 9, (-1,) * 9, (0.5,) * 9, list(first), "x"]:
+        with pytest.raises(KeyError):
+            table[key]
+        assert table.get(key) is None
+    assert first in table and absent not in table
+    with pytest.raises(TypeError):
+        table[first] = 0.5
+    # the view reads the summary it came from
+    skewed = dataclasses.replace(summary, probabilities=np.full(len(eager), 1 / len(eager)))
+    assert skewed.state_probabilities[first] == 1 / len(eager)
+
+
+def test_state_table_len_builds_no_tuples():
+    summary = enumerate_exact(Model(generate("path", {"n": 20}), HARD, [0.0]))
+    tracemalloc.start()
+    try:
+        count = len(summary.state_probabilities)
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 17711  # Fibonacci: independent sets of the 20-path
+    assert used < 4096
+
+
+def test_exact_oracles_share_allowed_sets_and_moves(monkeypatch):
+    calls = {"_allowed_sets": 0, "_single_site_moves": 0}
+
+    def counted(name):
+        original = getattr(sampler_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sampler_module, name, wrapper)
+
+    counted("_allowed_sets")
+    counted("_single_site_moves")
+    model = Model(generate("cycle", {"n": 8}), COL3, [0.2, -0.1])
+    summary = enumerate_exact(model)
+    assert max_detailed_balance_violation(model, summary) <= 1e-15
+    irreducible = is_glauber_irreducible(model, summary)
+    assert max_detailed_balance_violation(model, summary) <= 1e-15
+    assert calls == {"_allowed_sets": 1, "_single_site_moves": 1}
+    assert irreducible is False  # the alternating 3-colorings of an even cycle are frozen
+    tv_distance_empirical(model, sweeps=2, replicates=10, summary=summary)
+    assert calls == {"_allowed_sets": 1, "_single_site_moves": 1}
+
+
+def test_exact_checks_reject_a_summary_of_another_model():
+    c6 = generate("cycle", {"n": 6})
+    model = Model(c6, HARD, [1.5])
+    summary = enumerate_exact(Model(c6, HARD, [0.1]))
+    checks = [
+        max_detailed_balance_violation,
+        is_glauber_irreducible,
+        lambda m, s: tv_distance_empirical(m, sweeps=5, replicates=10, summary=s),
+    ]
+    others = [
+        (Model(c6, HARD, [1.5]), "activities"),
+        (Model(generate("cycle", {"n": 7}), HARD, [0.1]), "graph"),
+        (Model(generate("path", {"n": 6}), HARD, [0.1]), "graph"),
+        (Model(c6, preset("proper_coloring", q=2), [0.1]), "constraint graph"),
+        # equal graph, constraint graph and activities, all built anew
+        (Model(generate("cycle", {"n": 6}), ConstraintGraph(2, [(0, 1), (0, 0)]), [0.1]), None),
+    ]
+    for other, what in others:
+        for check in checks:
+            if what is None:
+                check(other, summary)
+                continue
+            with pytest.raises(ParameterError, match=f"different {what}"):
+                check(other, summary)
+    # a copy with other probabilities still belongs to the model it came from
+    own = Model(c6, HARD, [0.1])
+    wrong = dataclasses.replace(summary, probabilities=np.full(18, 1 / 18))
+    assert max_detailed_balance_violation(own, wrong) > 1e-4  # uniform is stationary only at 0
+    assert is_glauber_irreducible(own, wrong) is True
+
+
+def test_negative_sweeps_and_no_replicates_are_rejected():
+    model = Model(PATH3, HARD, [0.0])
+    with pytest.raises(ParameterError, match="nonnegative"):
+        sample(model, burn_in_sweeps=-2)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        sample_many(model, 3, burn_in_sweeps=-2)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        tv_distance_empirical(model, sweeps=-1, replicates=10)
+    with pytest.raises(ParameterError, match="positive"):
+        tv_distance_empirical(model, sweeps=5, replicates=0)
+    assert sample_many(model, 3, burn_in_sweeps=0).shape == (3, 3)
 
 
 def test_enumerate_infeasible_model():
