@@ -19,10 +19,14 @@ all frozen). Use :func:`is_glauber_irreducible` to check enumerable instances
 before trusting distributional output; larger instances inherit whatever
 sector the initial configuration lies in.
 
-The exact oracles share one (S, n) array of all valid configurations in
-lexicographic order, built level by level (:func:`enumerate_exact`), and one
-list of the single-site moves between its rows. :func:`find_valid_configuration`
-stays a backtracking search: it needs one solution, also where no such array fits.
+The exact oracles read one :class:`ExactSummary` per model. It holds the (S, n)
+array of all valid configurations in lexicographic order, built level by level
+(:func:`enumerate_exact`), their (S, n, q) allowed sets, and the list of the
+single-site moves between its rows, built at the first check that needs it;
+detailed balance, irreducibility and the empirical TV distance all reuse them.
+Its ``state_probabilities`` is a read-only mapping view over the state array,
+not a copy. :func:`find_valid_configuration` stays a backtracking search: it
+needs one solution, also where no such array fits.
 """
 from __future__ import annotations
 
@@ -394,10 +398,11 @@ class ExactSummary:
     sets: entry (i, u, s) says vertex u of state i may take color s given the
     rest of it. ``model`` is the model that was enumerated.
 
-    Everything here but ``probabilities`` and what follows from them is
-    independent of the activities; the exact checks read the allowed sets
-    and one list of the single-site moves between the states, built at the
-    first check that needs it and shared by every later one.
+    The states and allowed sets do not depend on the activities. The exact
+    checks read them and one list of the single-site moves between the
+    states, built at the first check that needs it and reused by every later
+    one; ``state_probabilities`` is a read-only mapping view over ``states``
+    and ``probabilities``.
     """
 
     log_partition: float
