@@ -493,6 +493,21 @@ def test_table_boundary_is_the_group_count_times_two_to_the_q():
     assert _Engine(Model(PATH3, _Q13, [0.0] * 12), None, 1).table is None
 
 
+@pytest.mark.parametrize("burn_in", [0, 5, 40, None])
+def test_sample_is_row_zero_of_sample_many(burn_in):
+    # a lookup-table model and the q = 13 on-the-fly model, at several seeds
+    models = [
+        Model(generate("random_regular", {"n": 60, "d": 3}, seed=2), preset("widom_rowlinson"), [0.3, -0.2]),
+        Model(generate("path", {"n": 4}), _Q13, np.linspace(-0.6, 0.6, 12)),
+    ]
+    for model in models:
+        for seed in (0, 1, 7, 123):
+            one = sample(model, burn_in_sweeps=burn_in, seed=seed)
+            many = sample_many(model, 1, burn_in_sweeps=burn_in, seed=seed)
+            assert one.dtype == many.dtype == np.int64 and one.shape == (model.n,)
+            assert one.tobytes() == many[0].tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_ENGINE_CASES))
 def test_engine_draws_match_pinned_digests(case):
     draws = PINNED_ENGINE_CASES[case]()
