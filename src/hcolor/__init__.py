@@ -39,15 +39,12 @@ from .graphs import (
     neighborhood_disjoint_size_bound,
     neighborhood_disjoint_subset,
     read_graph,
-    two_neighborhood_sets,
     write_graph,
 )
 from .model import (
     ConstraintGraph,
     Model,
-    allowed_colors,
     allowed_matrix,
-    color_counts,
     configuration_from_json,
     configuration_to_json,
     constraint_from_json,
@@ -74,13 +71,10 @@ from .pseudolikelihood import (
     symmetric_eigenvalues,
 )
 from .sampler import (
-    Chain,
     ExactSummary,
-    conditional_distribution,
     default_burn_in,
     enumerate_exact,
     find_valid_configuration,
-    glauber_sweep,
     is_glauber_irreducible,
     max_detailed_balance_violation,
     sample,

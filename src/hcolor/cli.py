@@ -32,12 +32,14 @@ from .errors import (
 from .experiments import (
     GraphFamily,
     ModelFamily,
+    _csv,
     consistency_experiment,
     gradient_concentration,
     kl_exact,
     rows_to_csv,
 )
 from .graphs import (
+    _write_json,
     degree_stats,
     generate,
     neighborhood_disjoint_size_bound,
@@ -124,12 +126,6 @@ def _check_out(path: str) -> None:
         raise ParameterError(f"output path is a directory: {path}")
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def _cmd_estimate(args) -> None:
         report = closed
     else:
         report = mpl_fit(cfg, g, h, tol=args.tol)
-    _write_json(args.out, {**json.loads(report_to_json(report)), "meta": _meta(args)})
+    _write_json(args.out, json.loads(report_to_json(report)), _meta(args))
 
 
 def _cmd_exact(args) -> None:
@@ -178,9 +174,8 @@ def _cmd_exact(args) -> None:
         "log_partition": summary.log_partition,
         "expected_counts": [float(x) for x in summary.expected_counts],
         "expected_unconstrained": [float(x) for x in summary.expected_unconstrained],
-        "meta": _meta(args, beta=beta.tolist()),
     }
-    _write_json(args.out, payload)
+    _write_json(args.out, payload, _meta(args, beta=beta.tolist()))
 
 
 def _is_int(x) -> bool:
@@ -260,7 +255,7 @@ def _cmd_experiment(args) -> None:
             state_cap=settings.get("state_cap", DEFAULT_STATE_CAP),
             method=settings.get("method", "brute_force"),
         )
-        _write_json(args.out, {**dataclasses.asdict(result), "meta": meta})
+        _write_json(args.out, dataclasses.asdict(result), meta)
     elif kind == "consistency":
         rows = consistency_experiment(
             family,
@@ -284,11 +279,9 @@ def _cmd_experiment(args) -> None:
             sampler_settings=sampler_settings,
             jobs=args.jobs,
         )
+        table = [[n, repr(result[n]), settings["replicates"], args.seed] for n in settings["n_list"]]
         with open(args.out, "w") as fh:
-            fh.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-            fh.write("n,mean_scaled_grad_sq,replicates,seed\n")
-            for n in settings["n_list"]:
-                fh.write(f"{n},{result[n]!r},{settings['replicates']},{args.seed}\n")
+            fh.write(_csv(["n", "mean_scaled_grad_sq", "replicates", "seed"], table, meta))
 
 
 def _cmd_diagnose(args) -> None:
@@ -320,9 +313,8 @@ def _cmd_diagnose(args) -> None:
             "size_bound_float": float(bound),
             "meets_bound": len(subset) >= bound,
         },
-        "meta": _meta(args, beta=beta.tolist()),
     }
-    _write_json(args.out, payload)
+    _write_json(args.out, payload, _meta(args, beta=beta.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +401,11 @@ def main(argv=None) -> int:
     except (InfeasibleModelError, FeasibilityUnknownError) as exc:
         print(_error_json(exc))
         return _EXIT_INFEASIBLE
-    except (HColorError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    # RecursionError: JSON input (a settings file, --params) nested deeper
+    # than the parser or the encoder can follow
+    except (
+        HColorError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, RecursionError
+    ) as exc:
         print(_error_json(exc))
         return _EXIT_INVALID
 

@@ -266,22 +266,32 @@ def consistency_experiment(
     return rows
 
 
-def rows_to_csv(rows: Sequence[ConsistencyRow], meta: dict | None = None) -> str:
-    """Fixed-header CSV; beta components are ';'-joined inside one field, and
-    a field holding a comma or a quote (an ``h_name``, say) is CSV-quoted."""
+def _csv(header, rows, meta: dict | None = None) -> str:
+    """CSV text, after a first line ``# meta: <sorted-key JSON>`` when ``meta``
+    is given; a field holding a comma or a quote is CSV-quoted."""
     buf = io.StringIO()
     if meta is not None:
         buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(field.name for field in fields(ConsistencyRow))
-    for r in rows:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def rows_to_csv(rows: Sequence[ConsistencyRow], meta: dict | None = None) -> str:
+    """Fixed-header CSV; beta components are ';'-joined inside one field, and
+    a field holding a comma or a quote (an ``h_name``, say) is CSV-quoted."""
+    return _csv(
+        [field.name for field in fields(ConsistencyRow)],
+        (
             [r.n, r.graph_kind, r.h_name, ";".join(repr(b) for b in r.beta_true),
              r.replicate_count, r.degenerate_count, r.nonconverged_count,
              r.rank_deficient_count, repr(r.median_scaled_error),
              repr(r.q90_scaled_error), r.seed]
-        )
-    return buf.getvalue()
+            for r in rows
+        ),
+        meta,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "DegreeStats",
     "generate",
     "degree_stats",
-    "two_neighborhood_sets",
     "neighborhood_disjoint_subset",
     "neighborhood_disjoint_size_bound",
     "connected_components",
@@ -275,8 +274,8 @@ def _random_regular(n: int, d: int, rng: np.random.Generator, max_tries: int = 2
 def _erdos_renyi(n: int, c: float, rng: np.random.Generator) -> Graph:
     if n < 1:
         raise ParameterError("erdos_renyi requires n >= 1")
-    if c < 0:
-        raise ParameterError("erdos_renyi requires c >= 0")
+    if not 0 <= c < math.inf:
+        raise ParameterError("erdos_renyi requires a finite c >= 0")
     p = min(c / n, 1.0)
     pairs = n * (n - 1) // 2
     if pairs == 0 or p == 0:
@@ -337,6 +336,23 @@ def _clique_bipartite(q: int, big_side: int) -> Graph:
     return Graph(k + big_side, edges)
 
 
+def _integer(params: dict, key: str) -> int:
+    """``params[key]``, which must be a Python or numpy integer and not a bool:
+    a size is never silently truncated."""
+    value = params[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"parameter {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(params: dict, key: str) -> float:
+    """``params[key]``, which must be a Python or numpy real number and not a bool."""
+    value = params[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"parameter {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def generate(kind: str, params: dict, seed: int = 0) -> Graph:
     """Build a graph of the given kind deterministically from (params, seed).
 
@@ -347,25 +363,27 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
         erdos_renyi(n, c)         disjoint_union(parts)  triangles_plus_path(N, K)
         clique_bipartite(q, N)
 
-    ``erdos_renyi`` uses edge probability ``c / n``. ``disjoint_union`` takes
-    ``parts`` as a list of ``{"kind": ..., "params": ...}`` sub-specs.
+    Sizes (``n``, ``d``, ``rows``, ``cols``, ``leaves``, ``N``, ``K``, ``q``)
+    must be integers, not bools; ``erdos_renyi`` uses edge probability
+    ``c / n`` for a finite ``c >= 0``. ``disjoint_union`` takes ``parts`` as a
+    list of ``{"kind": ..., "params": ...}`` sub-specs.
     """
     rng = np.random.default_rng(seed)
     try:
         if kind == "path":
-            return _path(int(params["n"]))
+            return _path(_integer(params, "n"))
         if kind == "cycle":
-            return _cycle(int(params["n"]))
+            return _cycle(_integer(params, "n"))
         if kind == "grid":
-            return _grid(int(params["rows"]), int(params["cols"]))
+            return _grid(_integer(params, "rows"), _integer(params, "cols"))
         if kind == "complete":
-            return _complete(int(params["n"]))
+            return _complete(_integer(params, "n"))
         if kind == "star":
-            return _star(int(params["leaves"]))
+            return _star(_integer(params, "leaves"))
         if kind == "random_regular":
-            return _random_regular(int(params["n"]), int(params["d"]), rng)
+            return _random_regular(_integer(params, "n"), _integer(params, "d"), rng)
         if kind == "erdos_renyi":
-            return _erdos_renyi(int(params["n"]), float(params["c"]), rng)
+            return _erdos_renyi(_integer(params, "n"), _real(params, "c"), rng)
         if kind == "disjoint_union":
             parts = [
                 generate(p["kind"], p.get("params", {}), seed=seed * 1009 + i + 1)
@@ -373,9 +391,9 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
             ]
             return _disjoint_union(parts)
         if kind == "triangles_plus_path":
-            return _triangles_plus_path(int(params["N"]), int(params["K"]))
+            return _triangles_plus_path(_integer(params, "N"), _integer(params, "K"))
         if kind == "clique_bipartite":
-            return _clique_bipartite(int(params["q"]), int(params["N"]))
+            return _clique_bipartite(_integer(params, "q"), _integer(params, "N"))
     except ParameterError:
         raise
     except KeyError as exc:
@@ -388,11 +406,6 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
-
-
-def two_neighborhood_sets(g: Graph) -> list[set[int]]:
-    """For each vertex v, the set of vertices at distance exactly 1 or 2."""
-    return [set(row) for row in _segments(*g.two_hop)]
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -501,18 +514,40 @@ def neighborhood_disjoint_subset(g: Graph, w: Iterable[int], seed: int = 0) -> l
 # ---------------------------------------------------------------------------
 
 
+def _parse_json(text: str):
+    """``json.loads(text)``; malformed or too deeply nested JSON raises
+    :class:`GraphFormatError`. The readers of every file format use it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError(f"not valid JSON: nested too deeply ({exc})") from exc
+
+
+def _write_json(path, payload, meta: dict | None = None) -> None:
+    """Write an artifact: ``payload``, with a "meta" key added when ``meta``
+    is given, as sorted-key JSON indented by 2 plus a final newline. Every
+    JSON artifact with a "meta" key is written by it."""
+    if meta is not None:
+        payload = {**payload, "meta": meta}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _graph_payload(g: Graph) -> dict:
+    return {"n": g.n, "edges": np.column_stack(g.edge_endpoints).tolist()}
+
+
 def graph_to_json(g: Graph) -> str:
     """Serialize as {"n": ..., "edges": [[u, v], ...]} with u < v, sorted."""
-    payload = {"n": g.n, "edges": np.column_stack(g.edge_endpoints).tolist()}
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(_graph_payload(g), sort_keys=True)
 
 
 def graph_from_json(text: str) -> Graph:
     """Parse and validate the graph file format; rejects malformed input."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    payload = _parse_json(text)
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise GraphFormatError('graph JSON must be an object with "n" and "edges"')
     n = payload["n"]
@@ -544,12 +579,7 @@ def graph_from_json(text: str) -> Graph:
 def write_graph(path, g: Graph, meta: dict | None = None) -> None:
     """Write the graph file; an optional "meta" key carries provenance and is
     ignored by readers."""
-    payload = {"n": g.n, "edges": np.column_stack(g.edge_endpoints).tolist()}
-    if meta is not None:
-        payload["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, _graph_payload(g), meta)
 
 
 def read_graph(path) -> Graph:

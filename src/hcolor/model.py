@@ -20,7 +20,7 @@ from .errors import (
     InvalidConfigurationError,
     ParameterError,
 )
-from .graphs import Graph
+from .graphs import Graph, _parse_json, _write_json
 
 __all__ = [
     "ConstraintGraph",
@@ -30,8 +30,6 @@ __all__ = [
     "is_hardcore",
     "is_valid",
     "require_valid",
-    "color_counts",
-    "allowed_colors",
     "allowed_matrix",
     "unconstrained_counts",
     "constraint_to_json",
@@ -215,23 +213,6 @@ def require_valid(cfg, g: Graph, h: ConstraintGraph) -> np.ndarray:
     return colors
 
 
-def color_counts(cfg, q: int) -> np.ndarray:
-    """Number of vertices of each color, length q."""
-    arr = np.asarray(cfg, dtype=np.int64).reshape(-1)
-    if arr.size and (arr.min() < 0 or arr.max() >= q):
-        raise InvalidConfigurationError(f"colors must lie in [0, {q})")
-    return np.bincount(arr, minlength=q)
-
-
-def allowed_colors(u: int, cfg, g: Graph, h: ConstraintGraph) -> tuple[int, ...]:
-    """Colors s such that recoloring u to s keeps every incident edge allowed.
-
-    Equivalently: the colors whose constraint-graph neighborhood contains all
-    colors currently on the neighbors of u.
-    """
-    return tuple(int(s) for s in np.flatnonzero(allowed_matrix(cfg, g, h)[u]))
-
-
 def allowed_matrix(cfg, g: Graph, h: ConstraintGraph) -> np.ndarray:
     """(n, q) boolean matrix: entry (u, s) says recoloring u to s stays valid."""
     return _allowed_sets(_as_colors(cfg, g.n, h.q)[None, :], g, h)[0]
@@ -276,15 +257,16 @@ def unconstrained_counts(cfg, g: Graph, h: ConstraintGraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _constraint_payload(h: ConstraintGraph) -> dict:
+    return {"q": h.q, "edges": [[s, t] for s, t in sorted(h.edges)]}
+
+
 def constraint_to_json(h: ConstraintGraph) -> str:
-    return json.dumps({"q": h.q, "edges": [[s, t] for s, t in sorted(h.edges)]}, sort_keys=True)
+    return json.dumps(_constraint_payload(h), sort_keys=True)
 
 
 def constraint_from_json(text: str) -> ConstraintGraph:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    payload = _parse_json(text)
     if not isinstance(payload, dict) or "q" not in payload or "edges" not in payload:
         raise GraphFormatError('constraint JSON must be an object with "q" and "edges"')
     q = payload["q"]
@@ -307,12 +289,7 @@ def constraint_from_json(text: str) -> ConstraintGraph:
 
 
 def write_constraint(path, h: ConstraintGraph, meta: dict | None = None) -> None:
-    payload = {"q": h.q, "edges": [[s, t] for s, t in sorted(h.edges)]}
-    if meta is not None:
-        payload["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, _constraint_payload(h), meta)
 
 
 def read_constraint(path) -> ConstraintGraph:
@@ -325,10 +302,7 @@ def configuration_to_json(cfg) -> str:
 
 
 def configuration_from_json(text: str) -> np.ndarray:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    payload = _parse_json(text)
     if isinstance(payload, dict) and "configuration" in payload:
         payload = payload["configuration"]
     if not isinstance(payload, list) or not all(type(c) is int for c in payload):
@@ -339,13 +313,11 @@ def configuration_from_json(text: str) -> np.ndarray:
 def write_configuration(path, cfg, meta: dict | None = None) -> None:
     """Plain JSON array; with meta, an object wrapping the array under
     "configuration" (readers accept both forms)."""
-    data = [int(c) for c in np.asarray(cfg).reshape(-1)]
-    with open(path, "w") as fh:
-        if meta is None:
-            json.dump(data, fh)
-        else:
-            json.dump({"configuration": data, "meta": meta}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    if meta is None:
+        with open(path, "w") as fh:
+            fh.write(configuration_to_json(cfg) + "\n")
+    else:
+        _write_json(path, {"configuration": [int(c) for c in np.asarray(cfg).reshape(-1)]}, meta)
 
 
 def read_configuration(path) -> np.ndarray:

@@ -61,10 +61,12 @@ FREEZE_BOUND = 40.0
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
 
-# Newton line search: sufficient-increase fraction (Armijo), the predicted
-# increase below which the full step is taken untested (it is then smaller
-# than the rounding error of the log pseudo-likelihood, and the iterate is in
-# the quadratic region), and the smallest step fraction tried.
+# Newton line search: the largest move of any coordinate in one step, the
+# sufficient-increase fraction (Armijo), the predicted increase below which
+# the full step is taken untested (it is then smaller than the rounding error
+# of the log pseudo-likelihood, and the iterate is in the quadratic region),
+# and the smallest step fraction tried.
+_MAX_STEP = 1.0
 _ARMIJO = 1e-4
 _QUADRATIC_SLOPE = 1e-12
 _MIN_STEP_FRACTION = 2.0**-30
@@ -332,17 +334,18 @@ def mpl_fit(
     g: Graph,
     h: ConstraintGraph,
     init=None,
-    step: float = 1.0,
+    *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EstimateReport:
     """Maximum pseudo-likelihood fit by damped Newton ascent.
 
     Each iteration solves the Newton system of the non-frozen coordinates,
-    scales the direction so no coordinate moves by more than ``step``, and
-    backtracks on the log pseudo-likelihood until the Armijo condition holds.
-    Once the predicted increase is below rounding level (the quadratic
-    region) the full step is taken untested. Iteration stops when the
+    scales the direction so no coordinate moves by more than 1.0
+    (``_MAX_STEP``), and backtracks on the log pseudo-likelihood until the
+    Armijo condition holds. Once the predicted increase is below rounding
+    level (the quadratic region) the full step is taken untested. ``tol``
+    and ``max_iter`` are keyword-only. Iteration stops when the
     sup-norm of the gradient over non-frozen coordinates is at most ``tol``
     (``converged`` True), after ``max_iter`` steps, or when the line search
     can make no progress (``converged`` False in both cases).
@@ -365,8 +368,6 @@ def mpl_fit(
         b = np.asarray(init, dtype=np.float64).reshape(-1).copy()
         if b.shape != (q - 1,) or not np.all(np.isfinite(b)):
             raise ParameterError("init must be a finite vector of length q-1")
-    if not step > 0:
-        raise ParameterError("step must be positive")
     if not tol >= 0:  # a negative tol would keep iterating at a zero gradient
         raise ParameterError("tol must be non-negative")
     flags = [DEGENERATE_NONE] * (q - 1)
@@ -390,7 +391,7 @@ def mpl_fit(
         slope = float(g_free @ direction)
         if not slope > 0:
             direction, slope = g_free, float(g_free @ g_free)
-        scale = min(1.0, step / float(np.abs(direction).max()))
+        scale = min(1.0, _MAX_STEP / float(np.abs(direction).max()))
         direction, slope = direction * scale, slope * scale
         t = 1.0
         while True:

@@ -48,10 +48,7 @@ from .graphs import Graph
 from .model import ConstraintGraph, Model, _allowed_sets, _conditional_law, require_valid
 
 __all__ = [
-    "conditional_distribution",
     "find_valid_configuration",
-    "Chain",
-    "glauber_sweep",
     "sample",
     "sample_many",
     "default_burn_in",
@@ -74,24 +71,6 @@ def default_burn_in(n: int) -> int:
     checks always compare against the exact law where enumeration is feasible.
     """
     return 200 * math.ceil(math.log(n + 1))
-
-
-# ---------------------------------------------------------------------------
-# Conditional law of a single site
-# ---------------------------------------------------------------------------
-
-
-def conditional_distribution(u: int, cfg, model: Model) -> np.ndarray:
-    """Probability of each color at vertex u given all other coordinates.
-
-    Color r gets weight exp(beta_r) when all neighbor colors of u lie in the
-    constraint-neighborhood of r, and weight 0 otherwise. The support is never
-    empty for a valid configuration (the current color qualifies). Computed
-    with a shifted softmax so large |beta| cannot overflow.
-    """
-    colors = require_valid(cfg, model.graph, model.h)
-    allowed = _allowed_sets(colors[None, :], model.graph, model.h)[0, u]
-    return _conditional_law(allowed, model.beta_full)
 
 
 # ---------------------------------------------------------------------------
@@ -299,50 +278,41 @@ class _Engine:
 
 
 # ---------------------------------------------------------------------------
-# Chains and sampling entry points
+# Sampling entry points
 # ---------------------------------------------------------------------------
 
 
-class Chain:
-    """Single-owner mutable heat-bath chain over one model.
-
-    The current configuration is valid after every step, and the triple
-    (model, seed, sweeps_done) determines the state bit-for-bit.
-    """
-
-    def __init__(self, model: Model, seed: int = 0, start=None):
-        self.model = model
-        if start is None:
-            start = find_valid_configuration(model.graph, model.h, seed=seed)
-        start = require_valid(start, model.graph, model.h)
-        self._engine = _Engine(model, None, 1)
-        self._colors = np.append(start, model.q).astype(self._engine.dtype)[:, None]
-        self._rng = np.random.default_rng(seed)
-        self.sweeps_done = 0
-
-    @property
-    def current(self) -> np.ndarray:
-        return self._colors[:-1, 0].astype(np.int64)
-
-    def sweep(self, count: int = 1) -> "Chain":
-        """Perform ``count`` sweeps; each resamples every color class once."""
-        if count < 0:
-            raise ParameterError("sweep count must be nonnegative")
-        self._engine.run(self._colors, count, self._rng)
-        self.sweeps_done += count
-        return self
-
-
-def glauber_sweep(chain: Chain) -> Chain:
-    """One sweep (every vertex resampled once, class by class); returns the same chain."""
-    return chain.sweep(1)
+def _run_chains(
+    model: Model,
+    replicates: int,
+    burn_in_sweeps: int | None,
+    seed,
+    start,
+    beta_rows: np.ndarray | None,
+) -> np.ndarray:
+    """The one engine driver behind :func:`sample` and :func:`sample_many`."""
+    if replicates < 0:
+        raise ParameterError("replicates must be nonnegative")
+    if burn_in_sweeps is None:
+        burn_in_sweeps = default_burn_in(model.n)
+    if burn_in_sweeps < 0:
+        raise ParameterError("burn-in sweeps must be nonnegative")
+    if start is None:
+        base_seed = seed if isinstance(seed, (int, np.integer)) else 0
+        start = find_valid_configuration(model.graph, model.h, seed=int(base_seed))
+    start = require_valid(start, model.graph, model.h)
+    if replicates == 0:
+        return np.empty((0, model.n), dtype=np.int64)
+    engine = _Engine(model, beta_rows, replicates)
+    colors = np.repeat(np.append(start, model.q).astype(engine.dtype)[:, None], replicates, axis=1)
+    engine.run(colors, burn_in_sweeps, np.random.default_rng(seed))
+    return np.ascontiguousarray(colors[:-1].T, dtype=np.int64)
 
 
 def sample(model: Model, burn_in_sweeps: int | None = None, seed: int = 0) -> np.ndarray:
-    """One configuration after burn-in from a fresh chain. Deterministic per seed."""
-    if burn_in_sweeps is None:
-        burn_in_sweeps = default_burn_in(model.n)
-    return Chain(model, seed=seed).sweep(burn_in_sweeps).current
+    """One configuration after burn-in from a fresh chain: row 0 of
+    :func:`sample_many` with one replicate. Deterministic per seed."""
+    return _run_chains(model, 1, burn_in_sweeps, seed, None, None)[0]
 
 
 def sample_many(
@@ -363,22 +333,7 @@ def sample_many(
     settings through one engine run; rows with different activities remain
     mutually independent.
     """
-    if replicates < 0:
-        raise ParameterError("replicates must be nonnegative")
-    if burn_in_sweeps is None:
-        burn_in_sweeps = default_burn_in(model.n)
-    if burn_in_sweeps < 0:
-        raise ParameterError("burn-in sweeps must be nonnegative")
-    if start is None:
-        base_seed = seed if isinstance(seed, (int, np.integer)) else 0
-        start = find_valid_configuration(model.graph, model.h, seed=int(base_seed))
-    start = require_valid(start, model.graph, model.h)
-    if replicates == 0:
-        return np.empty((0, model.n), dtype=np.int64)
-    engine = _Engine(model, beta_rows, replicates)
-    colors = np.repeat(np.append(start, model.q).astype(engine.dtype)[:, None], replicates, axis=1)
-    engine.run(colors, burn_in_sweeps, np.random.default_rng(seed))
-    return np.ascontiguousarray(colors[:-1].T, dtype=np.int64)
+    return _run_chains(model, replicates, burn_in_sweeps, seed, start, beta_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +537,7 @@ def tv_distance_empirical(
     if replicates < 1:
         raise ParameterError("replicates must be positive")
     summary = _summary_of(model, summary)
-    start = find_valid_configuration(model.graph, model.h, seed=seed)
-    draws = sample_many(model, replicates, burn_in_sweeps=sweeps, seed=seed, start=start)
+    draws = sample_many(model, replicates, burn_in_sweeps=sweeps, seed=seed)
     hits = np.bincount(_lookup(summary.states, draws), minlength=summary.states.shape[0])
     return 0.5 * float(np.abs(hits / replicates - summary.probabilities).sum())
 

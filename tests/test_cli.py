@@ -245,6 +245,51 @@ def test_gen_graph_rejects_malformed_params(tmp_path, capsys, params):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cycle", '{"n": 3.7}'),
+        ("grid", '{"rows": 2.9, "cols": true}'),
+        ("star", '{"leaves": 2.0}'),
+        ("erdos_renyi", '{"n": 10, "c": Infinity}'),
+        ("erdos_renyi", '{"n": 10, "c": NaN}'),
+    ],
+)
+def test_gen_graph_rejects_non_integer_sizes_and_non_finite_c(tmp_path, capsys, kind, params):
+    out = tmp_path / "g.json"
+    assert run_cli("gen-graph", "--kind", kind, "--params", params, "--out", str(out)) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParameterError"
+    assert not out.exists()
+
+
+def test_deeply_nested_json_gives_the_error_json(tmp_path, capsys):
+    g, cfg, deep, out = (str(tmp_path / name) for name in ("g.json", "cfg.json", "deep.json", "o.json"))
+    assert run_cli("gen-graph", "--kind", "path", "--params", '{"n": 4}', "--out", g) == 0
+    (tmp_path / "cfg.json").write_text("[0, 0, 0, 0]")
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    capsys.readouterr()
+    for argv in [
+        ("estimate", "--graph", deep, "--h", "hardcore", "--config", cfg),
+        ("estimate", "--graph", g, "--h", deep, "--config", cfg),
+        ("estimate", "--graph", g, "--h", "hardcore", "--config", deep),
+        ("experiment", "--settings", deep),
+        ("gen-graph", "--kind", "path", "--params", "[" * 10_000),
+    ]:
+        assert run_cli(*argv, "--out", out) == 1, argv
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert set(error) == {"type", "message"}
+        assert error["type"] in ("GraphFormatError", "RecursionError"), argv
+        assert not (tmp_path / "o.json").exists()
+    # the same through the module entry point: an error JSON, no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcolor", "experiment", "--settings", deep, "--out", out],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "RecursionError"
+
+
 def test_bad_preset_color_count_exit_code(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli("gen-graph", "--kind", "cycle", "--params", '{"n": 4}', "--out", str(g))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -21,10 +22,9 @@ from hcolor.graphs import (
     neighborhood_disjoint_size_bound,
     neighborhood_disjoint_subset,
     read_graph,
-    two_neighborhood_sets,
     write_graph,
 )
-from hcolor.model import Model, preset
+from hcolor.model import Model, configuration_from_json, constraint_from_json, preset
 from hcolor.sampler import sample
 
 ALL_KINDS = [
@@ -117,6 +117,34 @@ def test_generate_rejects_bad_parameters():
         generate("path", {})
 
 
+def test_generate_requires_integer_sizes():
+    for kind, params in ALL_KINDS:
+        expect = graph_to_json(generate(kind, params, seed=3))
+        for key, value in params.items():
+            if type(value) is not int:  # "c" and the parts of a union
+                continue
+            as_numpy = generate(kind, {**params, key: np.int64(value)}, seed=3)
+            assert graph_to_json(as_numpy) == expect, (kind, key)
+            for bad in [value + 0.7, float(value), True, np.float64(value), str(value), None]:
+                with pytest.raises(ParameterError, match="integer"):
+                    generate(kind, {**params, key: bad}, seed=3)
+    # inside a disjoint union too
+    with pytest.raises(ParameterError, match="integer"):
+        generate("disjoint_union", {"parts": [{"kind": "cycle", "params": {"n": 3.7}}]})
+
+
+def test_erdos_renyi_requires_a_finite_c():
+    for bad in [math.inf, -math.inf, math.nan, np.float64(math.inf)]:
+        with pytest.raises(ParameterError, match="finite"):
+            generate("erdos_renyi", {"n": 10, "c": bad})
+    for bad in [True, "2.0", None]:
+        with pytest.raises(ParameterError, match="number"):
+            generate("erdos_renyi", {"n": 10, "c": bad})
+    expect = graph_to_json(generate("erdos_renyi", {"n": 10, "c": 2.0}, seed=1))
+    for same in [2, np.float64(2.0), np.int64(2)]:
+        assert graph_to_json(generate("erdos_renyi", {"n": 10, "c": same}, seed=1)) == expect
+
+
 def test_random_regular_is_regular():
     g = generate("random_regular", {"n": 20, "d": 3}, seed=7)
     assert all(g.degree(u) == 3 for u in range(20))
@@ -140,8 +168,8 @@ def test_degree_stats_complete4_and_edgeless():
 
 def test_two_neighborhood_counts_distance_one_and_two():
     g = generate("path", {"n": 5})
-    sizes = [len(s) for s in two_neighborhood_sets(g)]
-    assert sizes == [2, 3, 4, 3, 2]
+    indptr, _ = g.two_hop
+    assert np.diff(indptr).tolist() == [2, 3, 4, 3, 2]
 
 
 def _bfs_two_hop(g: Graph) -> list[set[int]]:
@@ -173,7 +201,9 @@ def test_two_hop_matches_breadth_first_search_on_hub_graphs():
     ]:
         g = generate(kind, params, seed=seed)
         expect = _bfs_two_hop(g)
-        assert two_neighborhood_sets(g) == expect, kind
+        indptr, indices = g.two_hop
+        rows = [set(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])]
+        assert rows == expect, kind
         degs = [len({v for e in g.edges() if x in e for v in e} - {x}) for x in range(g.n)]
         st = degree_stats(g)
         assert st.avg_two_neighborhood == Fraction(sum(map(len, expect)), g.n), kind
@@ -324,6 +354,15 @@ def test_reader_rejects_malformed():
     ]:
         with pytest.raises(GraphFormatError):
             graph_from_json('{"n": 3, "edges": %s}' % edges)
+
+
+def test_readers_reject_deeply_nested_json():
+    deep = "[" * 200_000
+    for reader in [graph_from_json, constraint_from_json, configuration_from_json]:
+        with pytest.raises(GraphFormatError, match="nested too deeply"):
+            reader(deep)
+        with pytest.raises(GraphFormatError, match="nested too deeply"):
+            reader('{"n": 3, "q": 2, "edges": %s}' % deep)
 
 
 def test_writer_emits_exact_shape():

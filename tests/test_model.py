@@ -16,9 +16,7 @@ from hcolor.model import (
     PRESET_NAMES,
     ConstraintGraph,
     Model,
-    allowed_colors,
     allowed_matrix,
-    color_counts,
     configuration_from_json,
     configuration_to_json,
     constraint_from_json,
@@ -117,33 +115,25 @@ def test_is_valid_matches_edge_loop():
     assert outcomes == {True, False}
 
 
-def test_color_counts():
-    assert color_counts([0, 1, 0, 2], 3).tolist() == [2, 1, 1]
-    assert color_counts([0] * 6, 2).tolist() == [6, 0]
-    assert color_counts([1, 0, 1], 2).tolist() == [1, 2]
-    with pytest.raises(InvalidConfigurationError):
-        color_counts([0, 5], 3)
-
-
 def test_allowed_colors_examples():
     # rainbow triangle: each vertex is forced to keep its color
     col3 = preset("proper_coloring", q=3)
-    assert allowed_colors(0, [0, 1, 2], TRIANGLE, col3) == (0,)
+    assert allowed_matrix([0, 1, 2], TRIANGLE, col3).tolist() == np.eye(3, dtype=bool).tolist()
     # star center with every leaf empty can be empty or occupied
     star = generate("star", {"leaves": 3})
-    assert allowed_colors(0, [0, 0, 0, 0], star, preset("hardcore")) == (0, 1)
+    assert allowed_matrix([0, 0, 0, 0], star, preset("hardcore"))[0].tolist() == [True, True]
     # species 2 cannot sit next to species 1
-    assert allowed_colors(0, [0, 1], K2, preset("widom_rowlinson")) == (0, 1)
+    assert allowed_matrix([0, 1], K2, preset("widom_rowlinson"))[0].tolist() == [True, True, False]
 
 
 def test_allowed_colors_is_local():
     g = generate("path", {"n": 5})
     col3 = preset("proper_coloring", q=3)
     cfg = np.array([0, 1, 0, 1, 0])
-    before = allowed_colors(1, cfg, g, col3)
+    before = allowed_matrix(cfg, g, col3)[1]
     far = cfg.copy()
     far[4] = 2  # vertex 4 is outside the closed neighborhood of 1
-    assert allowed_colors(1, far, g, col3) == before
+    assert allowed_matrix(far, g, col3)[1].tolist() == before.tolist()
 
 
 def test_unconstrained_counts_examples():
@@ -155,7 +145,7 @@ def test_unconstrained_counts_examples():
     assert u[1] == 3
     # the recolorable-empties bridge: u_1 - c_1 counts empty vertices with
     # all-empty neighborhoods, here vertices 2 and 3
-    assert u[1] - color_counts(cfg, 2)[1] == 2
+    assert u[1] - np.bincount(cfg, minlength=2)[1] == 2
 
     col3 = preset("proper_coloring", q=3)
     assert unconstrained_counts([0, 1, 2], TRIANGLE, col3).tolist() == [1, 1, 1]
@@ -182,7 +172,7 @@ def test_unconstrained_at_least_color_counts_random():
         except Exception:
             continue
         u = unconstrained_counts(cfg, g, h)
-        c = color_counts(cfg, h.q)
+        c = np.bincount(cfg, minlength=h.q)
         assert np.all(u >= c)
 
 
@@ -194,7 +184,7 @@ def test_hardcore_unconstrained_bridge_on_samples():
         model = Model(g, hard, [0.4])
         cfg = sample(model, burn_in_sweeps=40, seed=seed)
         u1 = unconstrained_counts(cfg, g, hard)[1]
-        c1 = color_counts(cfg, 2)[1]
+        c1 = np.count_nonzero(cfg == 1)
         direct = sum(
             1
             for v in range(g.n)
@@ -209,10 +199,8 @@ def test_valid_implies_own_color_allowed():
     for seed in range(10):
         g = generate("cycle", {"n": 8}, seed=seed)
         cfg = find_valid_configuration(g, col3, seed=seed)
-        for u in range(g.n):
-            assert cfg[u] in allowed_colors(u, cfg, g, col3)
-    am = allowed_matrix(cfg, g, col3)
-    assert am[np.arange(g.n), cfg].all()
+        am = allowed_matrix(cfg, g, col3)
+        assert am[np.arange(g.n), cfg].all()
 
 
 def test_constraint_round_trip():

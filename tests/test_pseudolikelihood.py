@@ -322,9 +322,13 @@ def test_mpl_fit_root_verified_by_bisection():
 def test_mpl_fit_validates_inputs():
     with pytest.raises(ParameterError):
         mpl_fit([0, 0], K2, HARD, init=[np.nan])
-    for bad in [{"step": 0.0}, {"step": np.nan}, {"tol": -1.0}, {"tol": np.nan}]:
+    for bad in [{"tol": -1.0}, {"tol": np.nan}]:
         with pytest.raises(ParameterError):
             mpl_fit([0, 1], K2, HARD, **bad)
+    with pytest.raises(TypeError):  # the step cap is a constant
+        mpl_fit([0, 1], K2, HARD, step=1.0)
+    with pytest.raises(TypeError):  # tol is keyword-only
+        mpl_fit([0, 1], K2, HARD, None, 1e-8)
     with pytest.raises(InvalidConfigurationError):
         mpl_fit([1, 1], K2, HARD)
 

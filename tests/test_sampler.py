@@ -14,19 +14,15 @@ from hcolor.errors import (
     EnumerationCapError,
     FeasibilityUnknownError,
     InfeasibleModelError,
-    InvalidConfigurationError,
     ParameterError,
 )
 from hcolor.graphs import generate, induced_subgraph
 from hcolor import sampler as sampler_module
-from hcolor.model import ConstraintGraph, Model, is_valid, preset
+from hcolor.model import ConstraintGraph, Model, _allowed_sets, _conditional_law, is_valid, preset
 from hcolor.sampler import (
-    Chain,
-    conditional_distribution,
     default_burn_in,
     enumerate_exact,
     find_valid_configuration,
-    glauber_sweep,
     is_glauber_irreducible,
     max_detailed_balance_violation,
     sample,
@@ -41,36 +37,36 @@ TRIANGLE = generate("complete", {"n": 3})
 COL3 = preset("proper_coloring", q=3)
 
 
+def _conditional(u, cfg, model):
+    """Heat-bath law of vertex u given the rest of the valid configuration cfg."""
+    allowed = _allowed_sets(np.array([cfg]), model.graph, model.h)[0, u]
+    return _conditional_law(allowed, model.beta_full)
+
+
 def test_conditional_hardcore_k2():
     model = Model(K2, HARD, [0.8])
-    dist = conditional_distribution(0, [0, 0], model)
+    dist = _conditional(0, [0, 0], model)
     assert dist[1] == pytest.approx(math.exp(0.8) / (math.exp(0.8) + 1))
     assert dist.sum() == pytest.approx(1.0)
 
 
 def test_conditional_forced_vertex():
     model = Model(TRIANGLE, COL3, [0.0, 0.0])
-    dist = conditional_distribution(0, [0, 1, 2], model)
+    dist = _conditional(0, [0, 1, 2], model)
     assert dist.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_conditional_widom_rowlinson():
     b1, b2 = 0.4, -0.3
     model = Model(K2, preset("widom_rowlinson"), [b1, b2])
-    dist = conditional_distribution(0, [0, 1], model)
+    dist = _conditional(0, [0, 1], model)
     assert dist[1] == pytest.approx(math.exp(b1) / (1 + math.exp(b1)))
     assert dist[2] == 0.0
 
 
-def test_conditional_rejects_invalid():
-    model = Model(K2, HARD, [0.0])
-    with pytest.raises(InvalidConfigurationError):
-        conditional_distribution(0, [1, 1], model)
-
-
 def test_conditional_survives_huge_beta():
     model = Model(K2, HARD, [720.0])
-    dist = conditional_distribution(0, [0, 0], model)
+    dist = _conditional(0, [0, 0], model)
     assert dist[1] == pytest.approx(1.0)
 
 
@@ -104,14 +100,12 @@ def test_find_valid_deterministic_per_seed():
     assert a.tolist() == b.tolist()
 
 
-def test_chain_preserves_validity_and_counts_sweeps():
+def test_chain_preserves_validity_at_every_sweep_count():
     g = generate("erdos_renyi", {"n": 12, "c": 2.0}, seed=2)
     model = Model(g, preset("widom_rowlinson"), [0.3, -0.2])
-    chain = Chain(model, seed=4)
-    for _ in range(10):
-        glauber_sweep(chain)
-        assert is_valid(chain.current, g, model.h)
-    assert chain.sweeps_done == 10
+    for sweeps in range(11):
+        for cfg in sample_many(model, 4, burn_in_sweeps=sweeps, seed=4):
+            assert is_valid(cfg, g, model.h)
 
 
 class _ScriptedRng:
@@ -270,11 +264,9 @@ def test_exact_layer_rejects_overflowing_log_weights():
 
 
 def test_zero_sweeps_leaves_chain_unchanged():
-    model = Model(PATH3, HARD, [0.0])
-    chain = Chain(model, seed=0)
-    before = chain.current
-    chain.sweep(0)
-    assert chain.current.tolist() == before.tolist()
+    model = Model(generate("cycle", {"n": 10}), COL3, [0.0, 0.0])
+    start = find_valid_configuration(model.graph, model.h, seed=3)
+    assert sample(model, burn_in_sweeps=0, seed=3).tolist() == start.tolist()
 
 
 def test_sampling_is_bit_deterministic():
@@ -283,9 +275,6 @@ def test_sampling_is_bit_deterministic():
     a = sample(model, burn_in_sweeps=30, seed=123)
     b = sample(model, burn_in_sweeps=30, seed=123)
     assert a.tolist() == b.tolist()
-    # the state depends on the number of sweeps, not on how they were requested
-    split = Chain(model, seed=123).sweep(12).sweep(18).current
-    assert split.tolist() == a.tolist()
     ma = sample_many(model, 5, burn_in_sweeps=10, seed=7)
     mb = sample_many(model, 5, burn_in_sweeps=10, seed=7)
     assert np.array_equal(ma, mb)
@@ -425,9 +414,9 @@ def _pinned_many(g, h, beta, replicates, sweeps, seed, beta_rows=None):
 
 
 def _pinned_split_chain():
+    # first pinned as 7, 0 and 13 sweeps of one chain; the draws match 20 at once
     model = Model(generate("grid", {"rows": 6, "cols": 7}), preset("widom_rowlinson"), [0.4, -0.1])
-    chain = Chain(model, seed=21).sweep(7).sweep(0).sweep(13)
-    return chain.current[None, :]
+    return sample(model, burn_in_sweeps=20, seed=21)[None, :]
 
 
 _Q13 = ConstraintGraph(13, [(s, t) for s in range(13) for t in range(s, 13) if s + t <= 12])
